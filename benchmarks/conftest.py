@@ -5,7 +5,8 @@ evaluation (§7).  The workloads are scaled down so the whole harness runs on
 a laptop in minutes (the paper used up to 48 EC2 workers for hours); what is
 being reproduced is the *shape* of each result -- who wins, how quantities
 scale with cluster size, which inputs crash -- not the absolute numbers.
-Scaling factors are recorded in EXPERIMENTS.md.
+Each module states its own scaling; the repo's gated end-to-end benchmark
+and its measurement method are described in perfbench/README.md.
 
 Environment knob: set ``REPRO_BENCH_SCALE=full`` to run the larger variants
 (more workers, bigger symbolic inputs).

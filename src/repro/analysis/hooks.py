@@ -1,9 +1,9 @@
 """CORE: cluster-backend hook contracts over the class graph.
 
 Since the ``CoordinatorCore`` extraction, the round engine is a template
-method: the core owns the loop (``run``/``_run``/``_finalize``/drain
-bookkeeping) and backends fill in a declared hook surface
-(``_explore_phase``, ``_drain_member``, ...).  The contract is marked in
+method: the core owns the protocol (``run``/``_run``/``_finalize``, drains,
+transfers, recovery) and backends fill in a declared hook surface
+(``_launch``, ``_admit_member``, ``_teardown_run``).  The contract is marked in
 source with the :func:`repro.cluster.core.backend_hook` decorator; these
 checks enforce it structurally, across modules:
 

@@ -12,20 +12,23 @@ execution tree across shared-nothing workers:
 * :mod:`repro.cluster.load_balancer` -- the queue-length-based balancing
   policy (mean +/- delta*sigma classification and pairing).
 * :mod:`repro.cluster.overlay` -- the global coverage bit-vector overlay.
-* :mod:`repro.cluster.transport` -- the simulated shared-nothing network.
-* :mod:`repro.cluster.core` -- the shared :class:`CoordinatorCore` round
-  engine (the one implementation of the §3 protocol, under every backend).
-* :mod:`repro.cluster.coordinator` -- the in-process backend: member
-  construction over the simulated transport and the public
+* :mod:`repro.cluster.core` -- :class:`CoordinatorCore`, the one
+  coordinator shell: the §3 command/reply protocol, brokered transfers,
+  failure recovery, checkpoints and finalization, over any carrier
+  (in-process, forked processes, TCP agents).
+* :mod:`repro.cluster.coordinator` -- the in-process backend: members are
+  :class:`~repro.distrib.worker.DistribWorker` objects behind an
+  :class:`~repro.net.transport.InProcTransport`, plus the public
   :class:`Cloud9Cluster` front end.
-* :mod:`repro.cluster.threaded` -- the same cluster with per-round worker
-  steps on an OS thread pool (wall-clock parallelism on one machine).
+* :mod:`repro.cluster.threaded` -- the same cluster with the members'
+  commands on an OS thread pool (wall-clock parallelism on one machine).
 * :mod:`repro.cluster.static_partition` -- the static-partitioning baseline
   the paper argues against (§2, §8), used by the ablation benchmarks.
 * :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
   by the evaluation harness.
 * :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger used
-  to recover a dead worker's territory (§2.3 failure model).
+  to recover a dead member's territory on every backend (§2.3 failure
+  model).
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
   coverage, counters, bugs/test cases, strategy seeds) behind
   ``run(resume_from=...)``.
@@ -36,7 +39,7 @@ execution tree across shared-nothing workers:
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig, ClusterResult
-from repro.cluster.core import CoordinatorCore, Member, MemberFinal
+from repro.cluster.core import CoordinatorCore, Member, MemberFailure
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
@@ -56,7 +59,7 @@ __all__ = [
     "ClusterResult",
     "CoordinatorCore",
     "Member",
-    "MemberFinal",
+    "MemberFailure",
     "FrontierLedger",
     "RecoveryJob",
     "Job",

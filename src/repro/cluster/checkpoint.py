@@ -20,6 +20,8 @@ resumed segment re-finds.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
@@ -94,9 +96,29 @@ class ClusterCheckpoint:
         return cls(**payload)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        """Write the snapshot crash-safely.
+
+        The JSON goes to a temporary file in the target's directory, is
+        flushed and fsynced, and then atomically replaces ``path``: a
+        coordinator killed mid-write leaves the previous checkpoint intact
+        (plus, at worst, a stray temporary file) instead of a truncated one.
+        """
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, temp_path = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(self.to_json())
+                handle.write("\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp_path, path)
+        except BaseException:
+            try:
+                os.unlink(temp_path)
+            except OSError:
+                pass
+            raise
 
     @classmethod
     def load(cls, path: str) -> "ClusterCheckpoint":

@@ -1,53 +1,50 @@
-"""The in-process cluster backend: workers, virtual time, simulated fabric.
+"""The in-process cluster backend: every member in the coordinator's process.
 
 The paper's prototype runs workers on separate machines and measures wall
-clock.  This backend runs the same protocol on a simulated fabric with a
-*virtual clock*: time advances in rounds, every worker executes up to a fixed
-instruction budget per round, status updates and balancing happen on their
-configured intervals, and all timeline metrics (useful work, queue lengths,
-state transfers, coverage) are recorded per round.  The scalability
-experiments then compare rounds-to-goal and useful-work-per-round across
-cluster sizes, which is exactly the shape of Figures 7-13.
+clock.  This backend runs the same protocol with every worker in one
+process and a *virtual clock*: time advances in rounds, every worker
+executes up to a fixed instruction budget per round, status updates and
+balancing happen on their configured intervals, and all timeline metrics
+(useful work, queue lengths, state transfers, coverage) are recorded per
+round.  The scalability experiments then compare rounds-to-goal and
+useful-work-per-round across cluster sizes, which is exactly the shape of
+Figures 7-13.
 
-The round protocol itself -- the loop, membership, checkpoint cadence,
-termination, finalization -- lives in :class:`repro.cluster.core.CoordinatorCore`;
-this module contributes the in-process member type (:class:`~repro.cluster.worker.Worker`
-over the simulated :class:`~repro.cluster.transport.Transport`) and the
-backend hooks.  An optional thread-backed runner for wall-clock parallelism
-is provided in :mod:`repro.cluster.threaded`.
+The protocol itself -- rounds, brokered transfers, failure recovery,
+checkpoints, termination, finalization -- is
+:class:`repro.cluster.core.CoordinatorCore`, the same shell the process and
+TCP backends run.  This module only launches members: a
+:class:`~repro.distrib.worker.DistribWorker` built from the test's executor
+and state factories, behind an :class:`~repro.net.transport.InProcTransport`
+that answers each command by a direct call.  Members run one after another,
+which keeps runs deterministic; :mod:`repro.cluster.threaded` runs them on a
+thread pool instead.
 """
 
 from __future__ import annotations
 
-import time
+from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Optional
 
 from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.core import (ClusterResult, CoordinatorCore, MemberFinal,
-                                RoundWork, _dedupe_bugs, backend_hook)
-from repro.cluster.jobs import Job, JobTree
-from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.transport import LOAD_BALANCER_ID, Message, MessageKind, Transport
-from repro.cluster.worker import DEFAULT_STRATEGY, Worker
-from repro.engine.coverage import CoverageBitVector
-from repro.engine.errors import BugReport
+from repro.cluster.core import ClusterResult, CoordinatorCore, Member
+from repro.cluster.worker import DEFAULT_STRATEGY
+from repro.distrib.worker import DistribWorker
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
-from repro.engine.test_case import TestCase
-from repro.obs import schema as trace_schema
+from repro.net.transport import InProcTransport
 
 ExecutorFactory = Callable[[], SymbolicExecutor]
 StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 
 __all__ = ["ClusterConfig", "ClusterResult", "Cloud9Cluster",
-           "ExecutorFactory", "StateFactory", "_dedupe_bugs"]
+           "ExecutorFactory", "StateFactory"]
 
 
 @dataclass
 class ClusterConfig:
-    """Configuration of a simulated Cloud9 cluster."""
+    """Configuration of an in-process Cloud9 cluster."""
 
     num_workers: int = 2
     instructions_per_round: int = 500
@@ -62,7 +59,6 @@ class ClusterConfig:
     load_balancing_enabled: bool = True
     # Disable load balancing from this round on (None = never): Fig. 13.
     disable_balancing_after_round: Optional[int] = None
-    transport_delay_rounds: int = 0
     max_rounds: int = 10_000
     #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
     #: rounds (None = never).  The latest checkpoint is kept on the cluster
@@ -106,351 +102,20 @@ class Cloud9Cluster(CoordinatorCore):
     def __init__(self, executor_factory: ExecutorFactory,
                  state_factory: StateFactory,
                  config: Optional[ClusterConfig] = None):
-        super().__init__(config or ClusterConfig())
-        self.config: ClusterConfig
         self.executor_factory = executor_factory
         self.state_factory = state_factory
-        self.transport = Transport(self.config.transport_delay_rounds)
-        self.workers: List[Worker] = []
-        # Workers that left via remove_worker; their results still count.
-        self._departed: List[Worker] = []
-        self._build()
-        self._peak_workers = len(self.workers)
+        super().__init__(config or ClusterConfig(),
+                         line_count=executor_factory().program.line_count)
+        self.config: ClusterConfig
 
-    # -- construction ------------------------------------------------------------------
+    def _launch(self, worker_id: int) -> Member:
+        worker = DistribWorker(worker_id, self.executor_factory(),
+                               self.state_factory,
+                               strategy=self.config.strategy or DEFAULT_STRATEGY)
+        return Member(worker_id, InProcTransport(
+            worker.handle, peer="in-process worker %d" % worker_id,
+            pool=self._worker_pool(), first_reply=worker.ready()))
 
-    def _build(self) -> None:
-        program_line_count = None
-        for index in range(self.config.num_workers):
-            worker_id = index + 1
-            executor = self.executor_factory()
-            if program_line_count is None:
-                program_line_count = executor.program.line_count
-            worker = Worker(worker_id, executor, self.state_factory,
-                            strategy_name=self.config.strategy or DEFAULT_STRATEGY)
-            self.workers.append(worker)
-        self.load_balancer = LoadBalancer(
-            line_count=program_line_count or 0,
-            delta=self.config.delta,
-            min_transfer=self.config.min_transfer)
-        for worker in self.workers:
-            self.load_balancer.register_worker(worker.worker_id)
-        # The first worker to join receives the seed job (§3.1).
-        self.workers[0].seed()
-
-    # -- membership hooks (workers join and leave between rounds, §2.3) -----------------
-
-    def _live_members(self) -> List[Worker]:
-        return self.workers
-
-    def _next_worker_id(self) -> int:
-        used = [w.worker_id for w in self.workers]
-        used.extend(w.worker_id for w in self._draining)
-        used.extend(w.worker_id for w in self._departed)
-        return max(used, default=0) + 1
-
-    def _admit_member(self) -> Worker:
-        worker_id = self._next_worker_id()
-        executor = self.executor_factory()
-        worker = Worker(worker_id, executor, self.state_factory,
-                        strategy_name=self.config.strategy or DEFAULT_STRATEGY)
-        self.workers.append(worker)
-        # Seed the newcomer's report with the mean queue length: until its
-        # first real status arrives, a fabricated zero would skew
-        # queue_length_spread() and draw spurious transfers.
-        self.load_balancer.register_worker(
-            worker_id,
-            queue_length=round(self.load_balancer.mean_queue_length()))
-        # A joining worker starts from the merged global coverage (§3.3).
-        bits = self.load_balancer.overlay.global_vector.as_int()
-        if bits:
-            worker.strategy.merge_global_coverage(
-                worker.coverage_view.merge_global(bits))
-        return worker
-
-    def _purge_departing(self, worker: Worker) -> None:
-        worker_id = worker.worker_id
-        survivors = sorted(self.workers, key=lambda w: w.queue_length)
-
-        # Purge the departed worker from the balancer atomically: messages
-        # already addressed to it are re-routed (with the receiving
-        # survivor's queue estimate credited) or cancelled (with the
-        # in-flight estimates rolled back), then its report is dropped.
-        for message in self.transport.drop_messages(
-                lambda m: m.recipient == worker_id):
-            if message.kind == MessageKind.JOB_TRANSFER:
-                moved = survivors[0].import_jobs(
-                    JobTree.decode(message.payload["jobs"]))
-                self._credit_report(survivors[0].worker_id, moved)
-            elif message.kind == MessageKind.TRANSFER_REQUEST:
-                self.load_balancer.cancel_transfer(TransferCommand(
-                    source=worker_id,
-                    destination=int(message.payload["destination"]),
-                    job_count=int(message.payload["job_count"])))
-        # Transfer requests at other workers naming it as the destination.
-        for message in self.transport.drop_messages(
-                lambda m: (m.kind == MessageKind.TRANSFER_REQUEST
-                           and int(m.payload["destination"]) == worker_id)):
-            self.load_balancer.cancel_transfer(TransferCommand(
-                source=message.recipient,
-                destination=worker_id,
-                job_count=int(message.payload["job_count"])))
-        self.load_balancer.deregister_worker(worker_id)
-
-    def _credit_report(self, worker_id: int, jobs: int) -> None:
-        """Adjust a worker's cached queue-length estimate after a direct
-        (non-status) job hand-over so the next balance() does not plan
-        against a stale length."""
-        if jobs <= 0:
-            return
-        report = self.load_balancer.reports.get(worker_id)
-        if report is not None:
-            report.queue_length += jobs
-
-    def _drain_member(self, worker: Worker) -> int:
-        moved = 0
-        if worker.queue_length and self.workers:
-            job_tree = worker.export_jobs(self.config.drain_chunk)
-            if len(job_tree):
-                target = min(self.workers, key=lambda w: w.queue_length)
-                moved = target.import_jobs(job_tree)
-                self._credit_report(target.worker_id, moved)
-        if worker.queue_length == 0 and worker in self._draining:
-            self._draining.remove(worker)
-            self._departed.append(worker)
-            self._note_member_left(worker.worker_id)
-        return moved
-
-    # -- checkpoint / resume -------------------------------------------------------------
-
-    def _members(self) -> List[Worker]:
-        """Everyone whose results count: live, draining and departed."""
-        return self.workers + self._draining + self._departed
-
-    def _coverage_bits(self) -> int:
-        bits = self.load_balancer.overlay.global_vector.as_int()
-        line_count = self.load_balancer.overlay.line_count
-        for worker in self._members():
-            bits |= CoverageBitVector.from_lines(
-                line_count, worker.executor.covered_lines).as_int()
-        for line in self._base_covered:
-            if 0 <= line < line_count:
-                bits |= 1 << line
-        return bits
-
-    def _all_bugs(self) -> List[BugReport]:
-        bugs = list(self._base_bugs)
-        for worker in self._members():
-            bugs.extend(worker.bugs)
-        return bugs
-
-    def _all_test_cases(self) -> List[TestCase]:
-        cases = list(self._base_tests)
-        for worker in self._members():
-            cases.extend(worker.test_cases)
-        return cases
-
-    def _write_checkpoint(self, round_index: int) -> ClusterCheckpoint:
-        frontier: List[Tuple[int, ...]] = []
-        for worker in self.workers + self._draining:
-            frontier.extend(sorted(worker.frontier_paths()))
-        members = self._members()
-        checkpoint = ClusterCheckpoint(
-            round_index=round_index,
-            frontier_paths=sorted(frontier),
-            coverage_bits=self._coverage_bits(),
-            line_count=self.load_balancer.overlay.line_count,
-            paths_completed=(self._base_paths
-                            + sum(w.paths_completed for w in members)),
-            useful_instructions=(self._base_useful + sum(
-                w.stats.useful_instructions for w in members)),
-            replay_instructions=(self._base_replay + sum(
-                w.stats.replay_instructions for w in members)),
-            wall_time=(self._base_wall
-                       + (time.monotonic() - self._run_started)),
-            bug_reports=[ClusterCheckpoint.encode_bug(b)
-                         for b in _dedupe_bugs(self._all_bugs())],
-            test_cases=[ClusterCheckpoint.encode_test_case(t)
-                        for t in self._all_test_cases()],
-            worker_stats={w.worker_id: w.stats.as_dict() for w in self.workers},
-            strategy_seeds={w.worker_id: w.worker_id for w in self.workers},
-        )
-        if self.config.checkpoint_path:
-            checkpoint.save(self.config.checkpoint_path)
-        self.last_checkpoint = checkpoint
-        return checkpoint
-
-    def _restore(self, checkpoint: Union[ClusterCheckpoint, str]) -> None:
-        checkpoint = ClusterCheckpoint.coerce(checkpoint)
-        for worker in self.workers:
-            worker.unseed()
-        for index, path in enumerate(sorted(checkpoint.frontier_paths)):
-            worker = self.workers[index % len(self.workers)]
-            worker.import_jobs(JobTree.from_jobs([Job(tuple(path))]))
-        self.load_balancer.overlay.merge_from_worker(checkpoint.coverage_bits)
-        for worker in self.workers:
-            worker.strategy.merge_global_coverage(
-                worker.coverage_view.merge_global(checkpoint.coverage_bits))
-        self._base_paths = checkpoint.paths_completed
-        self._base_useful = checkpoint.useful_instructions
-        self._base_replay = checkpoint.replay_instructions
-        self._base_wall = checkpoint.wall_time
-        self._base_covered = checkpoint.covered_lines()
-        self._base_bugs = checkpoint.decode_bugs()
-        self._base_tests = checkpoint.decode_test_cases()
-        self._resumed_from_round = checkpoint.round_index
-
-    def _take_checkpoint(self, round_index: int) -> None:
-        self._write_checkpoint(round_index)
-
-    def _begin_run(self, result: ClusterResult,
-                   resume_from: Optional[Union[ClusterCheckpoint, str]]
-                   ) -> None:
-        if resume_from is not None:
-            self._restore(resume_from)
-
-    # -- round-phase hooks ---------------------------------------------------------------
-
-    def _line_count(self) -> int:
-        return self.workers[0].executor.program.line_count
-
-    def _all_covered_lines(self) -> Set[int]:
-        covered: Set[int] = set(self._base_covered)
-        for worker in self._members():
-            covered.update(worker.executor.covered_lines)
-        return covered
-
-    @backend_hook
-    def _explore_round(self) -> None:
-        """Step every busy worker by one round's instruction budget.
-
-        Extracted as a hook so :class:`~repro.cluster.threaded.ThreadedCloud9Cluster`
-        can run the (share-nothing) workers on OS threads instead.
-        """
-        for worker in self.workers:
-            if worker.has_work:
-                worker.explore(self.config.instructions_per_round)
-
-    def _pre_round(self, result: ClusterResult) -> None:
-        self._advance_drains()
-
-    def _explore_phase(self, result: ClusterResult, round_index: int,
-                       checkpoint_due: bool) -> RoundWork:
-        self.transport.advance_round()
-
-        # 1. Deliver pending messages (job transfers, coverage, requests).
-        states_transferred = 0
-        for worker in self.workers:
-            states_transferred += worker.handle_messages(self.transport)
-
-        # 2. Explore for one round of virtual time.
-        work_before = {w.worker_id: (w.stats.useful_instructions,
-                                     w.stats.replay_instructions)
-                       for w in self.workers}
-        self._explore_round()
-        work_delta = {
-            w.worker_id: (
-                w.stats.useful_instructions - work_before[w.worker_id][0],
-                w.stats.replay_instructions - work_before[w.worker_id][1])
-            for w in self.workers if w.worker_id in work_before}
-        useful_delta = sum(d[0] for d in work_delta.values()) + sum(
-            w.stats.useful_instructions for w in self.workers
-            if w.worker_id not in work_before)
-        replay_delta = sum(d[1] for d in work_delta.values()) + sum(
-            w.stats.replay_instructions for w in self.workers
-            if w.worker_id not in work_before)
-        detail = {
-            w.worker_id: {
-                "useful": work_delta.get(w.worker_id, (0, 0))[0],
-                "replay": work_delta.get(w.worker_id, (0, 0))[1],
-                "queue": w.queue_length}
-            for w in self.workers}
-        return RoundWork(useful_delta=useful_delta, replay_delta=replay_delta,
-                         states_transferred=states_transferred, detail=detail)
-
-    def _status_phase(self, round_index: int) -> None:
-        for worker in self.workers:
-            worker.send_status(self.transport, round_index)
-        for message in self.transport.receive_all(LOAD_BALANCER_ID):
-            if message.kind != MessageKind.STATUS_UPDATE:
-                continue
-            merged_bits = self.load_balancer.receive_status(
-                worker_id=message.sender,
-                queue_length=int(message.payload["queue_length"]),
-                useful_instructions=int(message.payload["useful_instructions"]),
-                coverage_bits=int(message.payload["coverage_bits"]),
-                round_index=round_index)
-            self.transport.send(Message(
-                kind=MessageKind.COVERAGE_UPDATE,
-                sender=LOAD_BALANCER_ID,
-                recipient=message.sender,
-                payload={"coverage_bits": merged_bits}))
-
-    def _dispatch_transfer(self, command: TransferCommand,
-                           result: ClusterResult, round_index: int) -> int:
-        # The request is queued on the virtual fabric; the states it moves
-        # are counted in the round that delivers the JOB_TRANSFER message.
-        result.transfer_commands += 1
-        self.tracer.emit(trace_schema.JOB_TRANSFERRED, round=round_index,
-                         source=command.source,
-                         destination=command.destination,
-                         jobs=command.job_count)
-        self.transport.send(Message(
-            kind=MessageKind.TRANSFER_REQUEST,
-            sender=LOAD_BALANCER_ID,
-            recipient=command.source,
-            payload={"destination": command.destination,
-                     "job_count": command.job_count}))
-        return 0
-
-    # -- observation hooks ---------------------------------------------------------------
-
-    def _covered_line_count(self) -> int:
-        return len(self._all_covered_lines())
-
-    def _paths_completed(self) -> int:
-        return (self._base_paths
-                + sum(w.paths_completed for w in self._members()))
-
-    def _bugs_found(self) -> int:
-        return sum(len(w.bugs) for w in self._members())
-
-    def _work_idle(self) -> bool:
-        return self.transport.work_idle
-
-    # -- finalization hooks --------------------------------------------------------------
-
-    def _collect_finals(self, result: ClusterResult) -> List[MemberFinal]:
-        return [MemberFinal(
-            worker_id=worker.worker_id,
-            paths_completed=worker.paths_completed,
-            useful_instructions=worker.stats.useful_instructions,
-            replay_instructions=worker.stats.replay_instructions,
-            covered_lines=set(worker.executor.covered_lines),
-            bugs=list(worker.bugs),
-            test_cases=list(worker.test_cases),
-            stats=worker.stats,
-            cache_counters=worker.executor.solver.cache_counters(),
-            latency=worker.executor.solver.query_seconds,
-        ) for worker in self._members()]
-
-    def _finalize_extras(self, result: ClusterResult,
-                         finals: List[MemberFinal]) -> None:
-        result.jobs_recovered = sum(f.stats.jobs_recovered for f in finals)
-        result.messages_sent = self.transport.messages_sent
-
-    # -- invariants (used by the test suite) -------------------------------------------------
-
-    def check_frontier_invariants(self) -> Tuple[bool, str]:
-        """Disjointness of worker frontiers (§3.2 Summary): no path is a
-        candidate on two workers at once.  (Completeness is checked by the
-        integration tests by comparing explored paths against a single-node
-        exhaustive run.)"""
-        seen: Dict[Tuple[int, ...], int] = {}
-        for worker in self.workers + self._draining:
-            for path in worker.frontier_paths():
-                if path in seen:
-                    return False, ("path %s is a candidate on workers %d and %d"
-                                   % (path, seen[path], worker.worker_id))
-                seen[path] = worker.worker_id
-        return True, ""
+    def _worker_pool(self) -> Optional[Executor]:
+        """Where members run their commands: None = inline, in order."""
+        return None

@@ -32,12 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Set, Tuple
 
-from repro.cluster.coordinator import (
-    ClusterResult,
-    ExecutorFactory,
-    StateFactory,
-    _dedupe_bugs,
-)
+from repro.cluster.coordinator import ExecutorFactory, StateFactory
+from repro.cluster.core import ClusterResult, _dedupe_bugs
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.stats import RoundSnapshot, TransferCost
 from repro.cluster.worker import DEFAULT_STRATEGY, Worker

@@ -1,24 +1,25 @@
 """A thread-backed Cloud9 cluster for wall-clock parallelism on one machine.
 
-:class:`~repro.cluster.coordinator.Cloud9Cluster` advances workers
-sequentially within each virtual-time round, which makes runs deterministic
-but leaves real cores idle.  :class:`ThreadedCloud9Cluster` keeps the exact
-same protocol -- rounds, status updates, load balancing, job transfers all
-happen on the coordinator thread between rounds -- and only fans the
-*exploration phase* of each round out to a thread pool.
+:class:`~repro.cluster.coordinator.Cloud9Cluster` answers each command of
+its in-process members inline, one member after another, which makes runs
+deterministic but leaves real cores idle.  :class:`ThreadedCloud9Cluster`
+keeps the exact same shell -- rounds, status merge, brokered transfers and
+recovery all happen on the coordinator thread -- and only hands its
+members' commands to a thread pool: the coordinator sends every member its
+explore command, then waits for the replies, so the members of a round
+explore concurrently.
 
 This is safe because workers are shared-nothing by construction: each owns
-its private executor, solver, strategy and tree, and all inter-worker
-communication goes through :class:`~repro.cluster.transport.Transport`
-messages that are sent and delivered outside the exploration phase.  The
-result type, timeline and invariants are identical to the sequential
-cluster, so the two are interchangeable behind the ``"cluster"`` /
-``"threaded"`` backends of :mod:`repro.api.runner`.
+its private executor, solver, strategy and tree, and everything between
+them crosses the coordinator as command/reply messages.  The result type,
+timeline and invariants are identical to the sequential cluster, so the two
+are interchangeable behind the ``"cluster"`` / ``"threaded"`` backends of
+:mod:`repro.api.runner`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Optional
 
 from repro.cluster.coordinator import Cloud9Cluster
@@ -27,7 +28,7 @@ __all__ = ["ThreadedCloud9Cluster"]
 
 
 class ThreadedCloud9Cluster(Cloud9Cluster):
-    """Cloud9 cluster whose per-round worker steps run on OS threads."""
+    """Cloud9 cluster whose members answer commands on OS threads."""
 
     backend_name = "threaded"
 
@@ -35,28 +36,14 @@ class ThreadedCloud9Cluster(Cloud9Cluster):
         super().__init__(*args, **kwargs)
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _worker_pool(self) -> Executor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.config.num_workers,
                 thread_name_prefix="cloud9-worker")
         return self._pool
 
-    def _explore_round(self) -> None:
-        busy = [w for w in self.workers if w.has_work]
-        if len(busy) <= 1:
-            # No parallelism to exploit; skip the pool round-trip.
-            for worker in busy:
-                worker.explore(self.config.instructions_per_round)
-            return
-        pool = self._ensure_pool()
-        budget = self.config.instructions_per_round
-        futures = [pool.submit(worker.explore, budget) for worker in busy]
-        for future in futures:
-            future.result()
-
     def _teardown_run(self) -> None:
-        super()._teardown_run()
         self.close()
 
     def close(self) -> None:

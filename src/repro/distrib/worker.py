@@ -1,11 +1,14 @@
-"""The worker-process side of the multiprocess cluster.
+"""The worker side of the cluster protocol, shared by every carrier.
 
 :class:`DistribWorker` wraps the ordinary in-process
 :class:`~repro.cluster.worker.Worker` -- the same frontier bookkeeping,
 job export/import, lazy replay with fence nodes, and broken-replay detection
 (§3.2/§6) -- behind a command/reply interface whose messages all pickle.
-:func:`worker_main` is the process entry point: it rebuilds the test from its
-spec, then pumps commands from a queue into a ``DistribWorker``.
+Every backend runs it: the ``cluster``/``threaded`` backends call
+:meth:`DistribWorker.handle` directly through an
+:class:`~repro.net.transport.InProcTransport`, a forked worker process
+pumps commands into it from a queue (:func:`worker_main`), and a TCP agent
+feeds it from a socket (:mod:`repro.net.agent`).
 
 ``DistribWorker`` is deliberately drivable without any process machinery:
 the unit tests construct one directly and feed it commands, which is how
@@ -22,7 +25,7 @@ import traceback
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.jobs import Job, JobTree
-from repro.cluster.worker import Worker
+from repro.cluster.worker import DEFAULT_STRATEGY, StateFactory, Worker
 from repro.distrib.messages import (
     DrainStatusCommand,
     ErrorReply,
@@ -38,32 +41,47 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
+from repro.engine.executor import SymbolicExecutor
 from repro.obs.trace import BufferTracer
 
 __all__ = ["DistribWorker", "worker_main"]
 
 
 class DistribWorker:
-    """One worker process's state: a private engine plus the command loop."""
+    """One worker's state: a private engine plus the command interpreter."""
 
-    def __init__(self, worker_id: int, test, strategy: Optional[str] = None):
+    def __init__(self, worker_id: int, executor: SymbolicExecutor,
+                 state_factory: StateFactory,
+                 strategy: Optional[str] = None):
         self.worker_id = worker_id
-        self.test = test
-        executor = test.build_executor()
-        self.worker = Worker(worker_id, executor, test.build_initial_state,
-                             strategy_name=strategy or test.strategy)
+        self.worker = Worker(worker_id, executor, state_factory,
+                             strategy_name=strategy or DEFAULT_STRATEGY)
         # Created on the first traced ExploreCommand; buffered events ride
         # back to the coordinator on every status reply.
         self.tracer: Optional[BufferTracer] = None
+
+    @classmethod
+    def from_test(cls, worker_id: int, test,
+                  strategy: Optional[str] = None) -> "DistribWorker":
+        """A worker over a private engine for ``test`` (a SymbolicTest)."""
+        return cls(worker_id, test.build_executor(), test.build_initial_state,
+                   strategy=strategy or test.strategy)
 
     @property
     def line_count(self) -> int:
         return self.worker.executor.program.line_count
 
+    def ready(self) -> ReadyReply:
+        """The first reply of every member: built, and for which program."""
+        return ReadyReply(worker_id=self.worker_id, line_count=self.line_count)
+
     # -- command handlers --------------------------------------------------------------
 
     def handle(self, command):
-        """Process one command, returning its reply."""
+        """Process one command, returning its reply (None for StopCommand,
+        which ends the member and is never answered)."""
+        if isinstance(command, StopCommand):
+            return None
         if isinstance(command, SeedCommand):
             self.worker.seed()
             return self.status()
@@ -192,9 +210,9 @@ def worker_main(worker_id: int, spec_name: str, spec_params: dict,
             importlib.import_module(module_name)
         from repro.distrib import specs
         test = specs.resolve_test(spec_name, **dict(spec_params))
-        distrib_worker = DistribWorker(worker_id, test, strategy=strategy)
-        reply_queue.put(ReadyReply(worker_id=worker_id,
-                                   line_count=distrib_worker.line_count))
+        distrib_worker = DistribWorker.from_test(worker_id, test,
+                                                 strategy=strategy)
+        reply_queue.put(distrib_worker.ready())
     except BaseException:
         reply_queue.put(ErrorReply(worker_id=worker_id,
                                    details=traceback.format_exc()))

@@ -1,17 +1,17 @@
 """Network transports for cross-machine clusters.
 
-The paper evaluated Cloud9 on large EC2 clusters; :mod:`repro.distrib`
-reproduces the coordinator/worker protocol but carried it on one host's
-multiprocessing queues.  This package abstracts the carrier:
+The paper evaluated Cloud9 on large EC2 clusters.  The coordinator shell
+(:class:`~repro.cluster.core.CoordinatorCore`) speaks one command/reply
+protocol to every member; this package abstracts the carrier it travels on:
 
 * :mod:`repro.net.framing` -- length-prefixed frames with size limits and
   corrupt-frame containment (the TCP wire format).
 * :mod:`repro.net.transport` -- the :class:`~repro.net.transport.Transport`
-  interface plus both implementations: the in-host mp-queue pair
-  (:class:`~repro.net.transport.QueuePairTransport`, unchanged behavior)
-  and framed pickles over a socket
-  (:class:`~repro.net.transport.TcpTransport`), with the hello/welcome
-  handshake messages and protocol version.
+  interface plus its three carriers: direct calls into an in-process
+  worker (:class:`~repro.net.transport.InProcTransport`), the in-host
+  mp-queue pair (:class:`~repro.net.transport.QueuePairTransport`) and
+  framed pickles over a socket (:class:`~repro.net.transport.TcpTransport`),
+  with the hello/welcome handshake messages and protocol version.
 * :mod:`repro.net.heartbeat` -- ping-based liveness replacing
   ``Process.is_alive()`` across machines.
 * :mod:`repro.net.server` -- the coordinator-side listener and
@@ -39,6 +39,7 @@ from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import (
     PROTOCOL_VERSION,
     HelloMessage,
+    InProcTransport,
     QueuePairTransport,
     ReceiveTimeout,
     RejectMessage,
@@ -55,6 +56,6 @@ __all__ = [
     "HeartbeatMonitor", "HeartbeatSender",
     "AgentServer", "NoPendingAgent",
     "PROTOCOL_VERSION", "HelloMessage", "WelcomeMessage", "RejectMessage",
-    "Transport", "QueuePairTransport", "TcpTransport",
+    "Transport", "InProcTransport", "QueuePairTransport", "TcpTransport",
     "TransportError", "TransportClosed", "ReceiveTimeout",
 ]

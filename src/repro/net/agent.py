@@ -110,12 +110,11 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
                 importlib.import_module(module_name)
             from repro.distrib import specs
             from repro.distrib.worker import DistribWorker
-            from repro.distrib.messages import ReadyReply
             test = specs.resolve_test(welcome.spec_name,
                                       **dict(welcome.spec_params))
-            worker = DistribWorker(worker_id, test, strategy=welcome.strategy)
-            transport.send(ReadyReply(worker_id=worker_id,
-                                      line_count=worker.line_count))
+            worker = DistribWorker.from_test(worker_id, test,
+                                             strategy=welcome.strategy)
+            transport.send(worker.ready())
         except TransportError:
             raise
         except BaseException:

@@ -1,13 +1,16 @@
 """The coordinator<->worker channel, abstracted.
 
-The process cluster's protocol was message-based from day one: every command
-gets exactly one reply, and everything crossing the boundary pickles
-(:mod:`repro.distrib.messages`).  What varied was the *carrier* -- hardwired
-multiprocessing queues.  This module names the carrier:
+The coordinator speaks one command/reply protocol to every cluster member:
+every command gets exactly one reply, and everything that may cross a
+process boundary pickles (:mod:`repro.distrib.messages`).  What varies is
+the *carrier*, and this module names it:
 
 * :class:`Transport` -- what the coordinator needs from a channel to one
   worker: ``send``/``recv``, a liveness verdict, and teardown with the
   shutdown-escalation semantics the cluster already has.
+* :class:`InProcTransport` -- a worker in the coordinator's own process:
+  each command is a direct call of the worker's ``handle``, synchronous or
+  on a thread pool (the ``cluster`` and ``threaded`` backends).
 * :class:`QueuePairTransport` -- the existing in-host mp-queue pair plus its
   worker process, refactored behind the interface with zero behavior change
   (liveness is still ``Process.is_alive()``, teardown is still
@@ -33,8 +36,12 @@ import select
 import socket
 import threading
 import time
+import traceback
+from collections import deque
+from concurrent.futures import Executor, Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_SIZE,
@@ -51,7 +58,7 @@ __all__ = [
     "PROTOCOL_VERSION", "PROTOCOL_COMPAT_VERSION",
     "HelloMessage", "WelcomeMessage", "RejectMessage",
     "TransportError", "TransportClosed", "ReceiveTimeout",
-    "Transport", "QueuePairTransport", "TcpTransport",
+    "Transport", "InProcTransport", "QueuePairTransport", "TcpTransport",
     "parse_address", "reap_process",
 ]
 
@@ -140,7 +147,7 @@ class Transport:
 
     #: Short human-readable peer name, used in every error message.
     peer: str = "?"
-    #: ``"mp"`` or ``"tcp"`` -- which carrier this is.
+    #: ``"inproc"``, ``"mp"`` or ``"tcp"`` -- which carrier this is.
     kind: str = "?"
 
     def send(self, message: object) -> None:
@@ -191,6 +198,86 @@ def reap_process(process, timeout: float = 5.0) -> None:
     if process.is_alive():
         process.kill()
         process.join(timeout=timeout)
+
+
+# -- the in-process implementation -------------------------------------------------------
+
+
+class InProcTransport(Transport):
+    """A worker living in the coordinator's process, behind the interface.
+
+    ``send`` hands the command straight to ``handle`` (a
+    :meth:`repro.distrib.worker.DistribWorker.handle`) -- synchronously, or
+    on ``pool`` when one is given, so several members explore at once --
+    and ``recv`` returns the replies in order, waiting for a pooled call to
+    finish.  ``first_reply`` is queued up front: the ``ReadyReply`` a worker
+    process sends once it is built.  A command ``handle`` answers with
+    ``None`` (``StopCommand``) gets no reply.
+
+    An exception raised by ``handle`` is this peer's failure, as a crash is
+    for a worker process: ``recv`` raises a :class:`TransportError` carrying
+    the traceback, and the channel is dead from then on.
+    """
+
+    kind = "inproc"
+
+    def __init__(self, handle: Callable[[object], object], peer: str,
+                 pool: Optional[Executor] = None,
+                 first_reply: Optional[object] = None):
+        self._handle: Optional[Callable[[object], object]] = handle
+        self._pool = pool
+        self.peer = peer
+        self._replies: Deque[Future] = deque()
+        self._error: Optional[str] = None
+        if first_reply is not None:
+            ready: Future = Future()
+            ready.set_result(first_reply)
+            self._replies.append(ready)
+
+    def send(self, message: object) -> None:
+        handle = self._handle
+        if handle is None or self._error is not None:
+            raise TransportClosed("%s is closed" % self.peer)
+        if self._pool is not None:
+            self._replies.append(self._pool.submit(handle, message))
+            return
+        future: Future = Future()
+        try:
+            future.set_result(handle(message))
+        except Exception as exc:
+            future.set_exception(exc)
+        self._replies.append(future)
+
+    def recv(self, timeout: Optional[float] = None) -> object:
+        while self._replies:
+            future = self._replies[0]
+            try:
+                reply = future.result(timeout=timeout)
+            except FutureTimeout:
+                raise ReceiveTimeout from None
+            except Exception as exc:
+                self._replies.clear()
+                self._error = "".join(traceback.format_exception(
+                    type(exc), exc, exc.__traceback__))
+                raise TransportError("%s failed:\n%s"
+                                     % (self.peer, self._error)) from None
+            self._replies.popleft()
+            if reply is not None:
+                return reply
+        raise TransportClosed("%s has no reply outstanding" % self.peer)
+
+    def is_alive(self) -> bool:
+        return self._handle is not None and self._error is None
+
+    def liveness_error(self) -> str:
+        return self._error or "closed"
+
+    def close(self, timeout: float = 5.0) -> None:
+        # Dropping the handle releases the worker (its executor, solver and
+        # tree) as a reaped process would; a pooled call still running
+        # finishes on its own and its reply is discarded.
+        self._handle = None
+        self._replies.clear()
 
 
 # -- the in-host implementation ----------------------------------------------------------
@@ -260,7 +347,7 @@ class TcpTransport(Transport):
     Any wire fault -- EOF, an oversized frame, a payload that will not
     unpickle -- is recorded as *this peer's* failure: ``recv`` raises a
     :class:`TransportError` naming the peer, the coordinator turns that into
-    a single ``_WorkerFailure``, and the run continues on the survivors.
+    a single ``MemberFailure``, and the run continues on the survivors.
 
     Used on both ends: the coordinator attaches a heartbeat monitor
     (``heartbeat=``); the agent leaves it None and detects a dead

@@ -13,8 +13,7 @@ backend through :meth:`SymbolicTest.run`::
     test.run(backend="process", workers=4)            # worker processes
                                                       # (spec-built tests)
 
-The per-backend ``run_single``/``run_cluster``/``run_static_cluster``
-methods remain as thin shims returning the legacy result types.
+``run_single`` remains as a thin shim returning the legacy result type.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Dict, Optional, Type, Union
 
 from repro.api.limits import ExplorationLimits, effective_limits
 from repro.api.result import RunResult
-from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig, ClusterResult
+from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig
 from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
 from repro.engine.config import EngineConfig
 from repro.engine.executor import ExplorationResult, SymbolicExecutor
@@ -162,24 +161,6 @@ class SymbolicTest:
             config=cluster_config,
         )
 
-    def run_cluster(self, num_workers: int,
-                    instructions_per_round: int = 500,
-                    max_rounds: Optional[int] = None,
-                    target_coverage_percent: Optional[float] = None,
-                    max_paths: Optional[int] = None,
-                    stop_on_first_bug: bool = False,
-                    cluster_config: Optional[ClusterConfig] = None) -> ClusterResult:
-        """Deprecated shim: use ``run(backend="cluster", ...)`` instead."""
-        limits = effective_limits(None, max_rounds=max_rounds,
-                                  coverage_target=target_coverage_percent,
-                                  max_paths=max_paths,
-                                  stop_on_first_bug=stop_on_first_bug)
-        config = cluster_config or ClusterConfig(
-            num_workers=num_workers,
-            instructions_per_round=instructions_per_round,
-        )
-        return self.run(backend="cluster", limits=limits, config=config).raw
-
     # -- static-partitioning baseline (for the ablation benchmarks) -------------------------
 
     def build_static_cluster(self, config: Optional[StaticPartitionConfig] = None
@@ -192,23 +173,6 @@ class SymbolicTest:
             state_factory=self.build_initial_state,
             config=cluster_config,
         )
-
-    def run_static_cluster(self, num_workers: int,
-                           instructions_per_round: int = 500,
-                           max_rounds: Optional[int] = None,
-                           target_coverage_percent: Optional[float] = None,
-                           max_paths: Optional[int] = None,
-                           cluster_config: Optional[StaticPartitionConfig] = None
-                           ) -> ClusterResult:
-        """Deprecated shim: use ``run(backend="static", ...)`` instead."""
-        limits = effective_limits(None, max_rounds=max_rounds,
-                                  coverage_target=target_coverage_percent,
-                                  max_paths=max_paths)
-        config = cluster_config or StaticPartitionConfig(
-            num_workers=num_workers,
-            instructions_per_round=instructions_per_round,
-        )
-        return self.run(backend="static", limits=limits, config=config).raw
 
     # -- convenience ---------------------------------------------------------------------------
 

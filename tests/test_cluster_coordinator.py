@@ -1,4 +1,4 @@
-"""Integration tests for the cluster runtime (workers + LB + transport)."""
+"""Integration tests for the in-process cluster (workers + LB + shell)."""
 
 import pytest
 
@@ -45,11 +45,18 @@ class TestEndToEnd:
 
     def test_frontier_disjointness_invariant_holds_during_run(self):
         cluster = make_cluster(3, buffer_size=3, instructions_per_round=30)
-        # Interleave manual round execution with invariant checks.
-        for _ in range(10):
-            cluster.run(max_rounds=1)
-            ok, message = cluster.check_frontier_invariants()
+        checked = []
+
+        # Check between rounds, while the members hold their frontiers.
+        def hook(round_index, cl):
+            ok, message = cl.check_frontier_invariants()
             assert ok, message
+            checked.append(round_index)
+
+        cluster.round_hook = hook
+        result = cluster.run()
+        assert result.exhausted
+        assert len(checked) == result.rounds_executed >= 3
 
     def test_coverage_matches_single_node(self):
         single = make_cluster(1)
@@ -69,7 +76,8 @@ class TestEndToEnd:
             L.ret(0),
         ))
         test = SymbolicTest("buggy", program)
-        result = test.run_cluster(num_workers=3, instructions_per_round=20)
+        result = test.run(backend="cluster", workers=3,
+                          instructions_per_round=20).raw
         assert len(result.bugs) == 1
 
     def test_timeline_records_rounds(self):
@@ -98,8 +106,9 @@ class TestEndToEnd:
             L.ret(0),
         ))
         test = SymbolicTest("buggy", program)
-        result = test.run_cluster(num_workers=2, instructions_per_round=20,
-                                  stop_on_first_bug=True)
+        result = test.run(backend="cluster", workers=2,
+                          instructions_per_round=20,
+                          stop_on_first_bug=True).raw
         assert result.bugs
 
 

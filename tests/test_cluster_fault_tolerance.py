@@ -1,9 +1,10 @@
 """Fault tolerance, elastic membership and checkpoint/resume (§2.3).
 
-Covers the frontier ledger, worker-death recovery in the process cluster
-(SIGKILL mid-run, respawn, failure budgets), clean teardown of stuck and
-killed workers, elastic add/remove on both cluster backends, and
-checkpoint/resume equivalence with uninterrupted runs.
+Covers the frontier ledger, member-death recovery (SIGKILL mid-run,
+respawn and failure budgets on the process cluster; a raising in-process
+worker on the cluster and threaded backends), clean teardown of stuck and
+killed workers, elastic add/remove on every backend, and checkpoint/resume
+equivalence with uninterrupted runs.
 """
 
 import multiprocessing
@@ -29,6 +30,7 @@ from repro.distrib.cluster import (
     WorkerProcessError,
 )
 from repro.distrib.messages import ExploreCommand, SeedCommand
+from repro.distrib.worker import DistribWorker
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -177,6 +179,35 @@ class TestClusterCheckpoint:
         checkpoint = self._checkpoint()
         assert checkpoint.covered_lines() == {0, 1, 3}
         assert checkpoint.coverage_percent == 30.0
+
+    def test_save_killed_midway_keeps_previous_checkpoint(self, tmp_path,
+                                                          monkeypatch):
+        """A coordinator killed while writing a checkpoint must leave the
+        previous snapshot loadable -- and resumable."""
+        path = str(tmp_path / "ckpt.json")
+        test = specs.resolve_test("test-ft-buggy")
+        options = dict(workers=2, instructions_per_round=40)
+        test.run(backend="cluster", checkpoint_every=1, checkpoint_path=path,
+                 limits=ExplorationLimits(max_rounds=2), **options)
+        before = open(path).read()
+        assert ClusterCheckpoint.load(path).round_index == 2
+
+        def killed(fd):
+            raise KeyboardInterrupt("coordinator killed mid-write")
+
+        # Dies after the new snapshot's bytes were written, before they
+        # were durable -- the last point an in-place rewrite could survive.
+        monkeypatch.setattr("repro.cluster.checkpoint.os.fsync", killed)
+        with pytest.raises(KeyboardInterrupt):
+            self._checkpoint().save(path)
+        monkeypatch.undo()
+        assert open(path).read() == before
+        assert os.listdir(str(tmp_path)) == ["ckpt.json"]  # no stray temp
+        resumed = test.run(backend="cluster", resume_from=path, limits=LIMITS,
+                           **options)
+        assert resumed.exhausted and resumed.resumed_from_round == 2
+        full = test.run(backend="cluster", limits=LIMITS, **options)
+        assert resumed.paths_completed == full.paths_completed
 
 
 # -- load balancer transfer cancellation ------------------------------------------------
@@ -445,7 +476,7 @@ class TestProcessFaultTolerance:
         teardown must terminate (or kill) it without leaking processes."""
         config = _pconfig(num_workers=1, shutdown_timeout=0.5)
         cluster = ProcessCloud9Cluster("test-ft-spin", config=config)
-        cluster._start_workers()
+        cluster._start_members()
         handle = cluster.handles[0]
         cluster._send(handle, SeedCommand())
         cluster._receive(handle)
@@ -454,12 +485,50 @@ class TestProcessFaultTolerance:
         time.sleep(0.2)  # let it get properly stuck
         pid = handle.process.pid
         assert _pid_alive(pid)
-        cluster._shutdown_workers()
+        cluster._shutdown_members()
         assert cluster.handles == []
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and _pid_alive(pid):
             time.sleep(0.05)
         assert not _pid_alive(pid)
+
+
+class TestInProcessFaultTolerance:
+    """An exception inside an in-process worker is a member failure like a
+    dead process: its territory is recovered from the ledger and the run
+    still explores every path exactly once."""
+
+    @staticmethod
+    def _traces(result):
+        return sorted(tuple(case.fork_trace) for case in result.test_cases)
+
+    @pytest.mark.parametrize("backend", ["cluster", "threaded"])
+    def test_raising_worker_is_recovered(self, backend, monkeypatch):
+        test = _buggy_spec_test(buffer_size=4)
+        options = dict(workers=3, instructions_per_round=30, limits=LIMITS)
+        crash_free = test.run(backend=backend, **options)
+        assert crash_free.exhausted and crash_free.worker_failures == 0
+
+        original = DistribWorker.handle
+        explores = {}
+
+        def handle(worker, command):
+            if isinstance(command, ExploreCommand) and worker.worker_id == 2:
+                explores[2] = explores.get(2, 0) + 1
+                if explores[2] == 4 and worker.worker.queue_length:
+                    raise RuntimeError("injected worker crash")
+            return original(worker, command)
+
+        monkeypatch.setattr(DistribWorker, "handle", handle)
+        result = test.run(backend=backend, **options)
+        assert explores[2] >= 4
+        assert result.exhausted
+        assert result.worker_failures == 1
+        assert result.jobs_recovered > 0
+        assert 2 in result.raw.failed_worker_stats
+        assert self._traces(result) == self._traces(crash_free)
+        assert result.covered_lines == crash_free.covered_lines
+        assert result.bug_summaries() == crash_free.bug_summaries()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -486,29 +555,6 @@ def _pid_alive(pid: int) -> bool:
 
 @needs_fork
 class TestProcessCheckpointResume:
-    def test_resume_reaches_same_final_coverage(self, tmp_path):
-        test = specs.resolve_test("test-ft-buggy")
-        full = test.run(backend="process", workers=2, limits=LIMITS,
-                        instructions_per_round=40, reply_timeout=1.0)
-        assert full.exhausted
-
-        path = str(tmp_path / "ckpt.json")
-        partial = test.run(backend="process", workers=2,
-                           limits=ExplorationLimits(max_rounds=2),
-                           instructions_per_round=40, reply_timeout=1.0,
-                           checkpoint_every=1, checkpoint_path=path)
-        assert not partial.exhausted  # killed mid-way (by budget)
-        assert os.path.exists(path)
-
-        resumed = test.run(backend="process", workers=2, limits=LIMITS,
-                           instructions_per_round=40, reply_timeout=1.0,
-                           resume_from=path)
-        assert resumed.exhausted
-        assert resumed.resumed_from_round == 2
-        assert resumed.coverage_percent == full.coverage_percent
-        assert resumed.covered_lines == full.covered_lines
-        assert resumed.paths_completed == full.paths_completed
-
     def test_stale_overlay_interval_does_not_lose_coverage(self, tmp_path):
         """Regression: with status_update_interval > 1 the LB overlay lags;
         checkpoints must fold in the freshly collected coverage bits or
@@ -585,22 +631,31 @@ class TestInProcessCheckpointResume:
         assert (result.timeline.snapshots[0].paths_completed
                 >= checkpoint.paths_completed)
 
-    def test_resume_via_api_runner(self, tmp_path):
+
+class TestCheckpointResume:
+    @pytest.mark.parametrize(
+        "backend", ["cluster", pytest.param("process", marks=needs_fork)])
+    def test_resume_via_api_runner(self, backend, tmp_path):
+        test = specs.resolve_test("test-ft-buggy")
+        kwargs = dict(workers=2, instructions_per_round=40)
+        if backend == "process":
+            kwargs["reply_timeout"] = 1.0
+        full = test.run(backend=backend, limits=LIMITS, **kwargs)
+        assert full.exhausted
+
         path = str(tmp_path / "ckpt.json")
-        test = _buggy_spec_test()
-        partial = test.run(backend="cluster", workers=2,
-                           instructions_per_round=30,
-                           checkpoint_every=1, checkpoint_path=path,
-                           limits=ExplorationLimits(max_rounds=3))
-        assert not partial.exhausted
-        resumed = test.run(backend="cluster", workers=2,
-                           instructions_per_round=30,
-                           limits=LIMITS, resume_from=path)
+        partial = test.run(backend=backend,
+                           limits=ExplorationLimits(max_rounds=2),
+                           checkpoint_every=1, checkpoint_path=path, **kwargs)
+        assert not partial.exhausted  # killed mid-way (by budget)
+        assert os.path.exists(path)
+
+        resumed = test.run(backend=backend, limits=LIMITS, resume_from=path,
+                           **kwargs)
         assert resumed.exhausted
-        assert resumed.resumed_from_round == 3
-        full = test.run(backend="cluster", workers=2,
-                        instructions_per_round=30, limits=LIMITS)
+        assert resumed.resumed_from_round == 2
         assert resumed.coverage_percent == full.coverage_percent
+        assert resumed.covered_lines == full.covered_lines
         assert resumed.paths_completed == full.paths_completed
 
 
@@ -629,52 +684,58 @@ class TestInProcessElasticity:
         return test.run(backend="single", limits=ExplorationLimits())
 
     def test_add_worker_between_runs(self):
+        """Members live for one run(), so a worker joins between rounds of a
+        running cluster, from round_hook."""
         test = _buggy_spec_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=30))
-        cluster.run(limits=ExplorationLimits(max_rounds=3))
-        new_id = cluster.add_worker()
-        assert new_id == 3
+        joined = []
+
+        def hook(round_index, cl):
+            if round_index == 3 and not joined:
+                joined.append(cl.add_worker())
+
+        cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
+        assert joined == [3]
         assert result.exhausted
         assert result.num_workers == 3
         assert set(result.worker_stats) == {1, 2, 3}
         assert result.paths_completed == self._single_baseline().paths_completed
 
-    def test_remove_worker_mid_run_keeps_its_results(self):
+    def test_add_worker_outside_a_run_is_refused(self):
         test = _buggy_spec_test()
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=3, instructions_per_round=30))
-        removed = {}
-
-        def hook(round_index, cl):
-            if round_index == 3 and not removed:
-                victims = [w.worker_id for w in cl.workers]
-                removed["id"] = victims[-1]
-                cl.remove_worker(victims[-1])
-
-        cluster.round_hook = hook
-        result = cluster.run(limits=LIMITS)
-        assert removed
-        assert result.exhausted
-        assert result.num_workers == 2
-        # The departed worker's stats and paths still count.
-        assert removed["id"] in result.worker_stats
-        assert result.paths_completed == self._single_baseline().paths_completed
+        cluster = test.build_cluster(ClusterConfig(num_workers=2))
+        with pytest.raises(RuntimeError, match="round_hook"):
+            cluster.add_worker()
 
     def test_remove_worker_guards(self):
         test = _buggy_spec_test()
         cluster = test.build_cluster(ClusterConfig(num_workers=1))
-        with pytest.raises(ValueError, match="last worker"):
-            cluster.remove_worker(1)
-        with pytest.raises(ValueError, match="no live worker"):
-            cluster.remove_worker(99)
+        raised = []
+
+        def hook(round_index, cl):
+            if round_index == 0:
+                for worker_id, match in ((1, "last worker"),
+                                         (99, "no live worker")):
+                    with pytest.raises(ValueError, match=match):
+                        cl.remove_worker(worker_id)
+                    raised.append(worker_id)
+
+        cluster.round_hook = hook
+        cluster.run(limits=ExplorationLimits(max_rounds=1))
+        assert raised == [1, 99]
 
 
-@needs_fork
-class TestProcessElasticity:
-    def test_add_then_remove_mid_run(self):
-        cluster = ProcessCloud9Cluster("test-ft-buggy", config=_pconfig())
+class TestElasticity:
+    @pytest.mark.parametrize(
+        "backend", ["cluster", pytest.param("process", marks=needs_fork)])
+    def test_add_then_remove_mid_run(self, backend):
+        if backend == "process":
+            cluster = ProcessCloud9Cluster("test-ft-buggy", config=_pconfig())
+        else:
+            cluster = _buggy_spec_test().build_cluster(
+                ClusterConfig(num_workers=2, instructions_per_round=40))
         events = []
 
         def hook(round_index, cl):
@@ -690,6 +751,8 @@ class TestProcessElasticity:
         assert events and events[0] == "added" and "removed" in events
         assert result.exhausted
         assert result.worker_failures == 0
+        assert result.workers_added == 1 and result.workers_removed == 1
+        assert result.num_workers == 2
         # The guest worker's contributions are merged into the result.
         assert events[1] in result.worker_stats
         test = specs.resolve_test("test-ft-buggy")

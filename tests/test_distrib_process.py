@@ -72,7 +72,9 @@ class TestDistribWorker:
     """The worker protocol driven in-process (no forking)."""
 
     def _worker(self, worker_id=1):
-        return DistribWorker(worker_id, _branchy_spec_test())
+        test = _branchy_spec_test()
+        return DistribWorker(worker_id, test.build_executor(),
+                             test.build_initial_state)
 
     def test_seed_then_explore_to_exhaustion(self):
         worker = self._worker()

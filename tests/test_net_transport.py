@@ -1,6 +1,8 @@
-"""The socket transport in isolation (no cluster, no forked workers).
+"""The carriers in isolation (no cluster, no forked workers).
 
-Covers the wire format (length-prefixed frames: partial reads, coalesced
+Covers the in-process carrier (:class:`InProcTransport`: reply order, the
+queued first reply, unanswered commands, a raising worker as this peer's
+failure, the thread-pool path), the wire format (length-prefixed frames: partial reads, coalesced
 frames, zero-length heartbeat pings, oversize and corrupt payloads), the
 heartbeat liveness logic on a frozen clock, the :class:`TcpTransport`
 send/recv/liveness surface over a socketpair, and the coordinator-side
@@ -29,6 +31,7 @@ from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import (
     PROTOCOL_VERSION,
     HelloMessage,
+    InProcTransport,
     ReceiveTimeout,
     RejectMessage,
     TcpTransport,
@@ -59,6 +62,81 @@ def _wait_until(predicate, timeout=5.0, what="condition"):
             return
         time.sleep(0.01)
     raise AssertionError("timed out waiting for %s" % what)
+
+
+# -- the in-process carrier --------------------------------------------------------------
+
+
+class _Echo:
+    """A stand-in worker: answers ``n`` with ``n * 10``, ``None`` with no
+    reply, and raises on ``"boom"``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def handle(self, command):
+        self.seen.append(command)
+        if command == "boom":
+            raise RuntimeError("worker blew up")
+        return None if command is None else command * 10
+
+
+class TestInProcTransport:
+    def test_replies_in_order_after_the_first_reply(self):
+        worker = _Echo()
+        transport = InProcTransport(worker.handle, peer="w1",
+                                    first_reply="ready")
+        transport.send(1)
+        transport.send(2)
+        assert worker.seen == [1, 2]  # answered synchronously, at send
+        assert [transport.recv(), transport.recv(), transport.recv()] == [
+            "ready", 10, 20]
+        assert transport.kind == "inproc" and transport.is_alive()
+
+    def test_unanswered_command_queues_no_reply(self):
+        transport = InProcTransport(_Echo().handle, peer="w1")
+        transport.send(None)
+        transport.send(3)
+        assert transport.recv() == 30
+        with pytest.raises(TransportClosed, match="no reply outstanding"):
+            transport.recv()
+
+    def test_raising_worker_is_this_peers_failure(self):
+        transport = InProcTransport(_Echo().handle, peer="w7")
+        transport.send("boom")  # the exception is held for recv
+        with pytest.raises(TransportError) as excinfo:
+            transport.recv()
+        assert "w7 failed" in str(excinfo.value)
+        assert "worker blew up" in str(excinfo.value)
+        assert not transport.is_alive()
+        assert "RuntimeError" in transport.liveness_error()
+        with pytest.raises(TransportClosed):
+            transport.send(1)
+
+    def test_pool_runs_the_call_and_recv_waits(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        release = threading.Event()
+
+        def slow(command):
+            release.wait(5.0)
+            return command + 1
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            transport = InProcTransport(slow, peer="w1", pool=pool)
+            transport.send(1)
+            with pytest.raises(ReceiveTimeout):
+                transport.recv(timeout=0.05)
+            release.set()
+            assert transport.recv(timeout=5.0) == 2
+
+    def test_close_releases_the_worker(self):
+        transport = InProcTransport(_Echo().handle, peer="w1",
+                                    first_reply="ready")
+        transport.close()
+        assert not transport.is_alive()
+        with pytest.raises(TransportClosed):
+            transport.send(1)
 
 
 # -- framing -----------------------------------------------------------------------------
@@ -394,26 +472,25 @@ class TestTcpTransport:
 
 class TestFaultContainment:
     def test_corrupt_frame_becomes_one_workers_failure(self):
-        """The cluster receive loop turns a wire fault into a _WorkerFailure
+        """The cluster receive loop turns a wire fault into a MemberFailure
         for that handle -- the per-peer error the ledger recovery consumes --
         instead of an exception that would abort the whole run."""
+        from repro.cluster.core import Member, MemberFailure
         from repro.distrib.cluster import (
             ProcessCloud9Cluster,
             ProcessClusterConfig,
-            _WorkerFailure,
-            _WorkerHandle,
         )
 
         cluster = ProcessCloud9Cluster(
             "printf", spec_params={"format_length": 2},
             config=ProcessClusterConfig(num_workers=2, reply_timeout=0.5))
         transport, raw = _transport_and_raw()
-        handle = _WorkerHandle(worker_id=9, transport=transport)
+        handle = Member(worker_id=9, transport=transport)
         try:
             raw.sendall(encode_frame(b"garbage that will not unpickle"))
-            with pytest.raises(_WorkerFailure) as excinfo:
+            with pytest.raises(MemberFailure) as excinfo:
                 cluster._receive(handle)
-            assert excinfo.value.handle is handle
+            assert excinfo.value.member is handle
             assert "bad frame from agent 10.0.0.9:4850" in excinfo.value.reason
         finally:
             transport.close(timeout=0)

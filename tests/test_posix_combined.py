@@ -172,7 +172,8 @@ class TestClockAndScheduling:
         ))
         test = SymbolicTest("clocked", program)
         single = test.run_single()
-        cluster = test.run_cluster(num_workers=2, instructions_per_round=100)
+        cluster = test.run(backend="cluster", workers=2,
+                           instructions_per_round=100).raw
         single_codes = sorted(tc.exit_code for tc in single.test_cases)
         cluster_codes = sorted(tc.exit_code for tc in cluster.test_cases)
         assert single_codes == cluster_codes

@@ -18,7 +18,8 @@ class TestSymbolicTest:
 
     def test_run_cluster(self):
         test = SymbolicTest("t", branchy_program(2))
-        result = test.run_cluster(num_workers=3, instructions_per_round=50)
+        result = test.run(backend="cluster", workers=3,
+                          instructions_per_round=50).raw
         assert result.paths_completed == 9
 
     def test_options_reach_the_state(self):
