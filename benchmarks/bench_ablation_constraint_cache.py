@@ -71,7 +71,8 @@ def _explore(use_caches: bool):
                                  use_counterexample_cache=use_caches))
     executor = SymbolicExecutor(test.program, solver=solver)
     executor.run(initial_state=lambda: executor.make_initial_state(),
-                 strategy="interleaved", max_steps=STEP_BUDGET)
+                 strategy="interleaved",
+                 limits=ExplorationLimits(max_steps=STEP_BUDGET))
     return solver
 
 
@@ -80,7 +81,8 @@ def _replay_rebuilds_cache():
     test = printf.make_symbolic_test(format_length=FORMAT_LENGTH)
     source = SymbolicExecutor(test.program)
     result = source.run(initial_state=lambda: source.make_initial_state(),
-                        strategy="dfs", max_steps=STEP_BUDGET // 3)
+                        strategy="dfs",
+                        limits=ExplorationLimits(max_steps=STEP_BUDGET // 3))
     # Pick the longest completed path as the "transferred job".
     fork_traces = [tc.fork_trace for tc in source.test_cases if tc.fork_trace]
     if not fork_traces:

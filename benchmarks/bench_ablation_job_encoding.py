@@ -16,6 +16,7 @@ format-string workload of Fig. 8:
   re-executing transferred paths (the price of the compact encoding).
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig, Job, JobTree
 from repro.targets import printf
 
@@ -70,14 +71,14 @@ def _run_experiment():
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND,
         balance_interval=BALANCE_INTERVAL))
-    result = cluster.run(max_rounds=ROUND_BUDGET)
+    result = cluster.run(limits=ExplorationLimits(max_rounds=ROUND_BUDGET))
 
     rows = [
         ("candidate nodes in the batch", len(jobs)),
         ("job tree (prefix sharing), path elements", tree_size),
         ("one path per job, path elements", naive_size),
         ("serialized states, bytes (lower bound)", serialized_bytes),
-        ("cluster run: states transferred", result.total_states_transferred),
+        ("cluster run: states transferred", result.states_transferred),
         ("cluster run: replay overhead", "%.1f%%" % (100.0 * result.replay_overhead)),
         ("cluster run: broken replays",
          sum(s.broken_replays for s in result.worker_stats.values())),

@@ -9,6 +9,7 @@ Reproduction: total useful instructions executed within a fixed budget of
 virtual rounds on the printf and test models, for increasing cluster sizes.
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.targets import printf, testcmd
 
@@ -22,8 +23,8 @@ def _useful_work(make_test, workers):
     test = make_test()
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
-    result = cluster.run(max_rounds=ROUND_BUDGET)
-    return result.total_useful_instructions
+    result = cluster.run(limits=ExplorationLimits(max_rounds=ROUND_BUDGET))
+    return result.useful_instructions
 
 
 def _run_sweep():

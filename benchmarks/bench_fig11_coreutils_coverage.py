@@ -11,6 +11,7 @@ quantity is additional coverage in percentage points of program size, sorted
 per utility exactly like the lower plot of Fig. 11.
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.targets import coreutils
 
@@ -25,7 +26,7 @@ def _coverage(name, workers):
     test = coreutils.make_utility_test(name, input_size=INPUT_SIZE)
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
-    result = cluster.run(max_rounds=ROUND_BUDGET)
+    result = cluster.run(limits=ExplorationLimits(max_rounds=ROUND_BUDGET))
     return result.coverage_percent
 
 

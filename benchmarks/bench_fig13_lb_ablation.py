@@ -10,6 +10,7 @@ balancing disabled after round 1/2/4/8; reported is the total useful work
 done within a fixed budget of rounds.
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.targets import memcached
 
@@ -28,8 +29,8 @@ def _useful_work_with_cutoff(workers, cutoff):
         num_workers=workers,
         instructions_per_round=INSTRUCTIONS_PER_ROUND,
         disable_balancing_after_round=cutoff))
-    result = cluster.run(max_rounds=ROUND_BUDGET)
-    return result.total_useful_instructions
+    result = cluster.run(limits=ExplorationLimits(max_rounds=ROUND_BUDGET))
+    return result.useful_instructions
 
 
 def _run_experiment():

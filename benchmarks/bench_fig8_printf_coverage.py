@@ -9,6 +9,7 @@ Reproduction: rounds of virtual time needed to reach each coverage target on
 the printf model, for increasing cluster sizes.
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.targets import printf
 
@@ -24,7 +25,7 @@ def _rounds_to_targets(workers):
     test = printf.make_symbolic_test(format_length=FORMAT_LENGTH)
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
-    result = cluster.run(max_rounds=MAX_ROUNDS)
+    result = cluster.run(limits=ExplorationLimits(max_rounds=MAX_ROUNDS))
     return {target: result.rounds_to_coverage(target)
             for target in COVERAGE_TARGETS}
 

@@ -10,6 +10,7 @@ instructions for increasing cluster sizes on the symbolic-packet memcached
 workload.
 """
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.targets import memcached
 
@@ -26,8 +27,8 @@ def _useful_work(workers, rounds):
         num_packets=NUM_PACKETS, packet_size=PACKET_SIZE)
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
-    result = cluster.run(max_rounds=rounds)
-    return result.total_useful_instructions
+    result = cluster.run(limits=ExplorationLimits(max_rounds=rounds))
+    return result.useful_instructions
 
 
 def _run_sweep():

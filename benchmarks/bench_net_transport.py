@@ -48,7 +48,7 @@ def _row(workload: dict, transport: str, result) -> dict:
         "coverage_percent": result.coverage_percent,
         "exhausted": result.exhausted,
         "rounds_executed": result.rounds_executed,
-        "messages_sent": result.raw.messages_sent,
+        "messages_sent": result.messages_sent,
         "transfer_jobs": cost.jobs if cost else 0,
         "transfer_encoded_nodes": cost.encoded_nodes if cost else 0,
         "transfer_naive_nodes": cost.naive_nodes if cost else 0,

@@ -43,7 +43,7 @@ EXPECTED = {
 
 
 def _verdict(version, pattern):
-    result = lighttpd.make_fragmentation_test(version, pattern).run_single()
+    result = lighttpd.make_fragmentation_test(version, pattern).run()
     crashed = any(b.kind in (BugKind.MEMORY_ERROR, BugKind.ASSERTION_FAILURE)
                   for b in result.bugs)
     return "crash + hang" if crashed else "OK"
@@ -57,7 +57,7 @@ def _run_matrix():
     # Symbolic fragmentation search against the "incomplete fix" version.
     search = lighttpd.make_symbolic_fragmentation_test(
         lighttpd.VERSION_1_4_13, bookkeeping_slots=3,
-        frag_choice_limit=2).run_single(max_paths=400)
+        frag_choice_limit=2).run(max_paths=400)
     found_incomplete_fix = any(b.kind == BugKind.MEMORY_ERROR for b in search.bugs)
     return matrix, found_incomplete_fix
 

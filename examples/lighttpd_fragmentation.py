@@ -15,7 +15,7 @@ from repro.targets import lighttpd
 
 
 def verdict(version: int, pattern) -> str:
-    result = lighttpd.make_fragmentation_test(version, pattern).run_single()
+    result = lighttpd.make_fragmentation_test(version, pattern).run()
     crashed = any(b.kind in (BugKind.MEMORY_ERROR, BugKind.ASSERTION_FAILURE)
                   for b in result.bugs)
     return "crash + hang" if crashed else "OK"
@@ -49,7 +49,7 @@ def main() -> None:
     for label, version in versions:
         test = lighttpd.make_symbolic_fragmentation_test(
             version, bookkeeping_slots=3, frag_choice_limit=2)
-        result = test.run_single(max_paths=400)
+        result = test.run(max_paths=400)
         crashes = [b for b in result.bugs if b.kind == BugKind.MEMORY_ERROR]
         if crashes:
             print("%-26s CRASH found after %d paths: %s"

@@ -36,10 +36,10 @@ a cluster, which is the paper's core pitch::
     print(test.run(backend="cluster", workers=4).paths_completed)
 
 Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"threaded"``,
-``"process"``)
-accepts the same :class:`~repro.api.limits.ExplorationLimits` -- either as a
-``limits=`` bundle or as direct kwargs -- and returns the same
-:class:`~repro.api.result.RunResult`::
+``"process"``, ``"tcp"``) accepts the same
+:class:`~repro.api.limits.ExplorationLimits` -- either as a ``limits=``
+bundle or as direct kwargs -- and returns the same
+:class:`~repro.api.result.RunResult`, built by the engine itself::
 
     from repro.api import ExplorationLimits
 
@@ -69,12 +69,11 @@ from repro.api import (
     available_backends,
     run_test,
 )
-from repro.cluster import Cloud9Cluster, ClusterConfig, ClusterResult
+from repro.cluster import Cloud9Cluster, ClusterConfig
 from repro.engine import (
     BugKind,
     BugReport,
     EngineConfig,
-    ExplorationResult,
     SymbolicExecutor,
     TestCase,
 )
@@ -98,11 +97,9 @@ __all__ = [
     "run_test",
     "Cloud9Cluster",
     "ClusterConfig",
-    "ClusterResult",
     "BugKind",
     "BugReport",
     "EngineConfig",
-    "ExplorationResult",
     "SymbolicExecutor",
     "TestCase",
     "SymbolicTest",

@@ -8,14 +8,13 @@ This package is the single supported way to execute symbolic tests:
 * :mod:`~repro.api.runner` -- the backend registry (``"single"``,
   ``"cluster"``, ``"static"``, ``"threaded"``, ``"process"``) behind
   ``SymbolicTest.run(backend=...)``.
-* :class:`~repro.api.result.RunResult` -- the backend-independent result
-  facade, adapting the legacy ``ExplorationResult``/``ClusterResult`` types
-  so backends compare apples-to-apples.
+* :class:`~repro.api.result.RunResult` -- the one result type, built by
+  every engine itself, so backends compare field for field.
 * :class:`~repro.api.campaign.Campaign` -- batch execution of many tests
   and/or configuration grids with aggregated coverage, bugs and timelines.
 """
 
-from repro.api.limits import UNLIMITED, ExplorationLimits, effective_limits
+from repro.api.limits import UNLIMITED, ExplorationLimits
 from repro.api.result import RunResult
 from repro.api.runner import (
     ClusterRunner,
@@ -34,7 +33,6 @@ from repro.api.campaign import Campaign, CampaignEntry, CampaignResult
 __all__ = [
     "ExplorationLimits",
     "UNLIMITED",
-    "effective_limits",
     "RunResult",
     "Runner",
     "SingleRunner",

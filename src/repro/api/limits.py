@@ -5,6 +5,6 @@ cluster layers can use it without importing :mod:`repro.api` back (the
 package init pulls in the cluster layer).  Import from here in user code.
 """
 
-from repro.engine.limits import UNLIMITED, ExplorationLimits, effective_limits
+from repro.engine.limits import UNLIMITED, ExplorationLimits
 
-__all__ = ["ExplorationLimits", "UNLIMITED", "effective_limits"]
+__all__ = ["ExplorationLimits", "UNLIMITED"]

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.cluster.coordinator import ClusterConfig
 from repro.cluster.static_partition import StaticPartitionConfig
 from repro.cluster.threaded import ThreadedCloud9Cluster
-from repro.solver.cache import aggregate_cache_counters
 
 from repro.api.limits import ExplorationLimits
 from repro.api.result import RunResult
@@ -82,7 +81,7 @@ class Runner(Protocol):
     def run(self, test: "SymbolicTest",
             limits: Optional[ExplorationLimits] = None,
             **options: object) -> RunResult:
-        """Execute ``test`` under ``limits`` and adapt the outcome."""
+        """Execute ``test`` under ``limits`` and return the outcome."""
         ...  # pragma: no cover
 
 
@@ -118,16 +117,11 @@ class SingleRunner:
             raise TypeError("unknown options for backend 'single': %s"
                             % ", ".join(sorted(options)))
         executor = test.build_executor()
-        result = executor.run(
+        return executor.run(
             initial_state=lambda: test.build_initial_state(executor),
             strategy=strategy or test.strategy,
             limits=limits,
         )
-        cache_stats = aggregate_cache_counters(
-            [executor.solver.cache_counters()])
-        return RunResult.from_exploration(result, backend=self.name,
-                                          test_name=test.name, limits=limits,
-                                          cache_stats=cache_stats)
 
 
 class ClusterRunner:
@@ -144,9 +138,7 @@ class ClusterRunner:
             **options: object) -> RunResult:
         config = _build_cluster_config(self.config_cls, workers, options)
         cluster = test.build_cluster(config, cluster_class=self.cluster_class)
-        result = cluster.run(limits=limits, resume_from=resume_from)
-        return RunResult.from_cluster(result, backend=self.name,
-                                      test_name=test.name)
+        return cluster.run(limits=limits, resume_from=resume_from)
 
 
 class ThreadedRunner(ClusterRunner):
@@ -197,9 +189,7 @@ class ProcessRunner:
         cluster = ProcessCloud9Cluster(
             spec, spec_params=spec_params, config=config,
             line_count=line_count)
-        result = cluster.run(limits=limits, resume_from=resume_from)
-        return RunResult.from_cluster(result, backend=self.name,
-                                      test_name=test.name)
+        return cluster.run(limits=limits, resume_from=resume_from)
 
 
 class TcpRunner(ProcessRunner):
@@ -228,9 +218,7 @@ class StaticPartitionRunner:
             workers: Optional[int] = None, **options: object) -> RunResult:
         config = _build_cluster_config(StaticPartitionConfig, workers, options)
         cluster = test.build_static_cluster(config)
-        result = cluster.run(limits=limits)
-        return RunResult.from_cluster(result, backend=self.name,
-                                      test_name=test.name)
+        return cluster.run(limits=limits)
 
 
 # -- the registry ---------------------------------------------------------------------
@@ -279,7 +267,9 @@ def run_test(test: "SymbolicTest", backend: str = "single",
     run status from the coordinator, :mod:`repro.obs.status`).
     """
     limits = ExplorationLimits.pop_from(options, base=limits)
-    return get_runner(backend).run(test, limits=limits, **options)
+    result = get_runner(backend).run(test, limits=limits, **options)
+    result.test_name = test.name  # the engines only know the program
+    return result
 
 
 for _runner in (SingleRunner(), ClusterRunner(), StaticPartitionRunner(),

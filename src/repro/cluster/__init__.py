@@ -38,7 +38,7 @@ execution tree across shared-nothing workers:
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig, ClusterResult
+from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig
 from repro.cluster.core import CoordinatorCore, Member, MemberFailure
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
@@ -56,7 +56,6 @@ __all__ = [
     "ThreadedCloud9Cluster",
     "ClusterCheckpoint",
     "ClusterConfig",
-    "ClusterResult",
     "CoordinatorCore",
     "Member",
     "MemberFailure",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.core import ClusterResult, CoordinatorCore, Member
+from repro.cluster.core import CoordinatorCore, Member
 from repro.cluster.worker import DEFAULT_STRATEGY
 from repro.distrib.worker import DistribWorker
 from repro.engine.executor import SymbolicExecutor
@@ -38,7 +38,7 @@ from repro.net.transport import InProcTransport
 ExecutorFactory = Callable[[], SymbolicExecutor]
 StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 
-__all__ = ["ClusterConfig", "ClusterResult", "Cloud9Cluster",
+__all__ = ["ClusterConfig", "Cloud9Cluster",
            "ExecutorFactory", "StateFactory"]
 
 

@@ -60,7 +60,8 @@ from repro.distrib.messages import (
     StopCommand,
 )
 from repro.engine.errors import BugReport
-from repro.engine.limits import ExplorationLimits, effective_limits
+from repro.engine.limits import UNLIMITED, ExplorationLimits
+from repro.engine.result import RunResult
 from repro.engine.test_case import TestCase
 from repro.net.transport import ReceiveTimeout, Transport, TransportError, reap_process
 from repro.obs import schema as trace_schema
@@ -71,7 +72,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.solver.cache import aggregate_cache_counters
 
 __all__ = ["Member", "MemberFailure", "RoundWork", "CoordinatorConfig",
-           "CoordinatorCore", "ClusterResult", "WorkerProcessError",
+           "CoordinatorCore", "WorkerProcessError",
            "backend_hook", "_dedupe_bugs"]
 
 _Hook = Callable[..., Any]
@@ -171,74 +172,6 @@ class CoordinatorConfig(Protocol):
     status_listen: Optional[str]
 
 
-@dataclass
-class ClusterResult:
-    """Summary and timeline of one cluster run."""
-
-    num_workers: int
-    rounds_executed: int = 0
-    exhausted: bool = False
-    goal_reached: bool = False
-    paths_completed: int = 0
-    total_useful_instructions: int = 0
-    total_replay_instructions: int = 0
-    coverage_percent: float = 0.0
-    covered_lines: Set[int] = field(default_factory=set)
-    line_count: int = 0
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    worker_stats: Dict[int, WorkerStats] = field(default_factory=dict)
-    timeline: ClusterTimeline = field(default_factory=ClusterTimeline)
-    total_states_transferred: int = 0
-    transfer_commands: int = 0
-    messages_sent: int = 0
-    # Real elapsed seconds of the run (rounds are virtual time, but the
-    # threaded cluster's wall-clock speedup is only visible here).
-    wall_time: float = 0.0
-    # Wire cost of the path-encoded job transfers (prefix-sharing savings).
-    transfer_cost: TransferCost = field(default_factory=TransferCost)
-    # Aggregated solver-cache hit/miss counters across all worker solvers.
-    cache_stats: Dict[str, float] = field(default_factory=dict)
-    # Fault tolerance and elasticity (§2.3: workers may die, join and leave).
-    worker_failures: int = 0
-    jobs_recovered: int = 0
-    respawns: int = 0
-    # Last-known counters of workers that died mid-run (their final results
-    # were lost; survivors re-explored their territory, so these are kept
-    # separate from the totals to avoid double counting).
-    failed_worker_stats: Dict[int, WorkerStats] = field(default_factory=dict)
-    # Round index of the checkpoint this run resumed from (None = fresh run).
-    resumed_from_round: Optional[int] = None
-    # Elastic-membership accounting: workers that joined/left (voluntarily
-    # or via autoscaling) and the largest live membership the run reached.
-    # The per-round trace is ``timeline`` (RoundSnapshot.num_workers).
-    workers_added: int = 0
-    workers_removed: int = 0
-    peak_workers: int = 0
-    # TCP-transport liveness accounting (repro.net): worker deaths detected
-    # by heartbeat silence specifically, and agents admitted into an
-    # already-running cluster (respawn replacements + elastic joins).
-    heartbeat_misses: int = 0
-    agents_reconnected: int = 0
-
-    @property
-    def useful_instructions_per_worker(self) -> float:
-        if not self.num_workers:
-            return 0.0
-        return self.total_useful_instructions / self.num_workers
-
-    @property
-    def replay_overhead(self) -> float:
-        total = self.total_useful_instructions + self.total_replay_instructions
-        return self.total_replay_instructions / total if total else 0.0
-
-    def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
-        return self.timeline.rounds_to_coverage(target_percent)
-
-    def bug_summaries(self) -> List[str]:
-        return sorted({b.summary() for b in self.bugs})
-
-
 def _job_paths(encoded: object) -> List[Tuple[int, ...]]:
     """The job paths of a JobTree as it crosses the wire (``encode()``d)."""
     return [job.path
@@ -319,7 +252,7 @@ class CoordinatorCore:
         self.ledger = FrontierLedger()
         self.messages_sent = 0
         self._next_worker_id = 1
-        self._result: Optional[ClusterResult] = None
+        self._result: Optional[RunResult] = None
         self._pending_recovery: List[RecoveryJob] = []
         self._pending_respawns = 0
         self._departed_finals: List[FinalReply] = []
@@ -329,7 +262,7 @@ class CoordinatorCore:
         self._failed_cache_counters: Dict[int, Dict[str, int]] = {}
         self._heartbeat_misses = 0
         self._agents_reconnected = 0
-        # Elastic-membership accounting (reported on ClusterResult).
+        # Elastic-membership accounting (reported on RunResult).
         self._workers_added = 0
         self._workers_removed = 0
         self._peak_workers = 0
@@ -385,9 +318,9 @@ class CoordinatorCore:
         balancer's view, but its frontier drains in ``drain_chunk``-sized
         job exports across the following rounds (it stays a *draining*
         member until empty), so removal never stalls a round.  Its results
-        (paths, bugs, coverage, stats) still count toward the final
-        :class:`ClusterResult`.  Returns the number of jobs handed over in
-        the first drain chunk.
+        (paths, bugs, coverage, stats) still count toward the run's
+        :class:`~repro.engine.result.RunResult`.  Returns the number of jobs
+        handed over in the first drain chunk.
         """
         member = next((m for m in self.handles if m.worker_id == worker_id),
                       None)
@@ -594,7 +527,7 @@ class CoordinatorCore:
 
     # -- fault tolerance -----------------------------------------------------------------
 
-    def _handle_failure(self, failure: MemberFailure, result: ClusterResult,
+    def _handle_failure(self, failure: MemberFailure, result: RunResult,
                         requeue: bool = True) -> None:
         """Mark a member dead and stage its territory for recovery.
 
@@ -651,7 +584,7 @@ class CoordinatorCore:
         self.ledger.forget(member.worker_id)
         self._release(member)
 
-    def _flush_recovery(self, result: ClusterResult) -> None:
+    def _flush_recovery(self, result: RunResult) -> None:
         """Respawn replacements and requeue dead members' territories.
 
         Only called at protocol barriers (every outstanding command has been
@@ -772,20 +705,12 @@ class CoordinatorCore:
 
     # -- the round protocol --------------------------------------------------------------
 
-    def run(self, max_rounds: Optional[int] = None,
-            target_coverage_percent: Optional[float] = None,
-            max_paths: Optional[int] = None,
-            stop_on_first_bug: bool = False,
-            max_wall_time: Optional[float] = None,
-            max_instructions: Optional[int] = None,
-            limits: Optional[ExplorationLimits] = None,
+    def run(self, limits: Optional[ExplorationLimits] = None,
             resume_from: Optional[Union[ClusterCheckpoint, str]] = None
-            ) -> ClusterResult:
+            ) -> RunResult:
         """Run rounds until exhaustion, a goal, or a budget is spent.
 
-        Limits may be given as explicit kwargs or bundled in an
-        :class:`~repro.engine.limits.ExplorationLimits`; explicit kwargs win.
-        ``limits.coverage_target`` maps to ``target_coverage_percent`` and
+        ``limits.max_rounds`` defaults to ``config.max_rounds``;
         ``limits.max_steps`` does not apply to cluster runs.
 
         ``resume_from`` (a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
@@ -797,12 +722,7 @@ class CoordinatorCore:
         (:mod:`repro.obs`) on every backend; both are torn down when the
         run returns.
         """
-        lim = effective_limits(limits, max_rounds=max_rounds,
-                               coverage_target=target_coverage_percent,
-                               max_paths=max_paths,
-                               stop_on_first_bug=stop_on_first_bug,
-                               max_wall_time=max_wall_time,
-                               max_instructions=max_instructions)
+        lim = limits if limits is not None else UNLIMITED
         tracer = Tracer(lim.trace_path) if lim.trace_path else NULL_TRACER
         self.tracer = tracer
         if self.config.status_listen is not None:
@@ -822,7 +742,7 @@ class CoordinatorCore:
 
     def _run(self, lim: ExplorationLimits,
              resume_from: Optional[Union[ClusterCheckpoint, str]]
-             ) -> ClusterResult:
+             ) -> RunResult:
         config = self.config
         limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
         start = time.monotonic()
@@ -830,10 +750,14 @@ class CoordinatorCore:
         policy = config.autoscale
         self.autoscaler = Autoscaler(policy) if policy is not None else None
 
-        result = ClusterResult(num_workers=config.num_workers)
-        self._begin_run(result, resume_from)
         line_count = self.line_count
-        result.line_count = line_count
+        timeline = ClusterTimeline()
+        result = RunResult(backend=self.backend_name,
+                           test_name=self.spec_name or "",
+                           num_workers=config.num_workers,
+                           line_count=line_count, timeline=timeline)
+        self._begin_run(result, resume_from)
+        states_transferred_total = 0
 
         tracer = self.tracer
         tracer.emit(trace_schema.RUN_STARTED, backend=self.backend_name,
@@ -875,7 +799,7 @@ class CoordinatorCore:
             if balancing and round_index % config.balance_interval == 0:
                 for command in self.load_balancer.balance(round_index):
                     states_transferred += self._execute_transfer(
-                        command, result, round_index)
+                        command, round_index)
             self._advance_drains()
 
             # 4. Record the round.
@@ -888,7 +812,7 @@ class CoordinatorCore:
             candidates = self._total_candidates()
             elapsed = time.monotonic() - start
             queues = {m.worker_id: m.queue_length for m in live}
-            result.timeline.record(RoundSnapshot(
+            timeline.record(RoundSnapshot(
                 round_index=round_index,
                 queue_lengths=dict(queues),
                 total_candidates=candidates,
@@ -903,7 +827,7 @@ class CoordinatorCore:
                 num_workers=len(live),
                 elapsed=elapsed,
             ))
-            result.total_states_transferred += states_transferred
+            states_transferred_total += states_transferred
             if tracer.enabled:
                 if bugs_found > traced_bugs:
                     tracer.emit(trace_schema.BUG_FOUND, round=round_index,
@@ -944,7 +868,10 @@ class CoordinatorCore:
                 tracer.emit(trace_schema.CHECKPOINT_WRITTEN, round=round_index,
                             path=config.checkpoint_path)
 
-            # 5. Termination checks.
+            # 5. Termination checks.  Exhaustion is recorded whether or not
+            # a goal was met in the same round.
+            result.states_remaining = candidates
+            result.exhausted = candidates == 0
             if (lim.coverage_target is not None
                     and coverage_percent >= lim.coverage_target):
                 result.goal_reached = True
@@ -955,8 +882,7 @@ class CoordinatorCore:
             if lim.stop_on_first_bug and bugs_found:
                 result.goal_reached = True
                 break
-            if candidates == 0:
-                result.exhausted = True
+            if result.exhausted:
                 break
             # Budget limits (spent, not reached: goal_reached stays False).
             if (lim.max_instructions is not None
@@ -969,6 +895,7 @@ class CoordinatorCore:
         # Cumulative across resume_from= segments: the checkpoint carries the
         # wall time already spent, this run adds its own elapsed time.
         result.wall_time = self._base_wall + (time.monotonic() - start)
+        result.states_transferred = states_transferred_total
         final = self._finalize(result, round_index)
         if tracer.enabled:
             payload: Dict[str, Any] = {
@@ -988,8 +915,8 @@ class CoordinatorCore:
                         paths=final.paths_completed,
                         coverage_percent=round(final.coverage_percent, 3),
                         bugs=len(final.bugs),
-                        useful=final.total_useful_instructions,
-                        replay=final.total_replay_instructions,
+                        useful=final.useful_instructions,
+                        replay=final.replay_instructions,
                         exhausted=final.exhausted,
                         goal_reached=final.goal_reached,
                         wall_time=round(final.wall_time, 6),
@@ -999,7 +926,7 @@ class CoordinatorCore:
                                         else round(round_p99, 6)))
         return final
 
-    def _begin_run(self, result: ClusterResult,
+    def _begin_run(self, result: RunResult,
                    resume_from: Optional[Union[ClusterCheckpoint, str]]
                    ) -> None:
         self._reset_run_state()
@@ -1027,7 +954,7 @@ class CoordinatorCore:
         except MemberFailure as failure:
             self._recover(failure)
 
-    def _explore_phase(self, result: ClusterResult, round_index: int,
+    def _explore_phase(self, result: RunResult, round_index: int,
                        checkpoint_due: bool) -> RoundWork:
         # One round of exploration on every live member (concurrently,
         # where the carrier allows).  Draining members take part with a
@@ -1089,7 +1016,7 @@ class CoordinatorCore:
                 round_index=round_index)
 
     def _execute_transfer(self, command: TransferCommand,
-                          result: ClusterResult, round_index: int) -> int:
+                          round_index: int) -> int:
         """Broker one source->destination job transfer; returns jobs moved."""
         by_id = {m.worker_id: m for m in self.handles}
         source = by_id.get(command.source)
@@ -1098,7 +1025,6 @@ class CoordinatorCore:
             # One end died or departed after the balance decision.
             self.load_balancer.cancel_transfer(command)
             return 0
-        result.transfer_commands += 1
         try:
             self._send(source, ExportCommand(count=command.job_count))
             export = self._receive_export(source)
@@ -1281,7 +1207,7 @@ class CoordinatorCore:
 
     # -- finalization --------------------------------------------------------------------
 
-    def _collect_finals(self, result: ClusterResult) -> List[FinalReply]:
+    def _collect_finals(self, result: RunResult) -> List[FinalReply]:
         """Every member's final accounting (live, draining and departed)."""
         finals: List[FinalReply] = []
         # Members still draining when the run ends are finalized like live
@@ -1297,7 +1223,7 @@ class CoordinatorCore:
         finals.extend(self._departed_finals)
         return finals
 
-    def _finalize(self, result: ClusterResult, rounds: int) -> ClusterResult:
+    def _finalize(self, result: RunResult, rounds: int) -> RunResult:
         finals = self._collect_finals(result)
         live = self.handles
         result.num_workers = len(live) or result.num_workers
@@ -1308,28 +1234,28 @@ class CoordinatorCore:
         result.peak_workers = max(self._peak_workers, len(live))
         result.paths_completed = (self._base_paths
                                   + sum(f.paths_completed for f in finals))
-        result.total_useful_instructions = self._base_useful + sum(
+        result.useful_instructions = self._base_useful + sum(
             f.stats.useful_instructions for f in finals)
-        result.total_replay_instructions = self._base_replay + sum(
+        result.replay_instructions = self._base_replay + sum(
             f.stats.replay_instructions for f in finals)
         covered: Set[int] = set(self._base_covered)
         all_bugs: List[BugReport] = list(self._base_bugs)
         result.test_cases.extend(self._base_tests)
+        worker_stats: Dict[int, WorkerStats] = {}
         latency = Histogram("solver_query_seconds")
         for final in finals:
             covered.update(final.covered_lines)
             all_bugs.extend(final.bugs)
             result.test_cases.extend(final.test_cases)
-            result.worker_stats[final.worker_id] = final.stats
+            worker_stats[final.worker_id] = final.stats
             if final.latency is not None:
                 latency.merge_from(final.latency)
         self._member_latency = latency
         result.covered_lines = covered
-        result.coverage_percent = (100.0 * len(covered) / result.line_count
-                                   if result.line_count else 0.0)
         result.bugs = _dedupe_bugs(all_bugs)
+        result.worker_stats = worker_stats
         result.transfer_cost = TransferCost.from_worker_stats(
-            result.worker_stats.values())
+            worker_stats.values())
         # Dead members never sent a FinalReply; their last piggybacked
         # counters (from the status replies) still enter the aggregate so
         # the run's cache hit rates reflect the whole fleet.

@@ -21,8 +21,9 @@ substrate (see ``benchmarks/bench_ablation_static_vs_dynamic.py``):
    approach removes.
 
 The run loop mirrors :class:`~repro.cluster.coordinator.Cloud9Cluster`'s
-virtual-time rounds and produces the same :class:`ClusterResult`, so the two
-approaches can be compared metric for metric.
+virtual-time rounds and returns the same
+:class:`~repro.engine.result.RunResult`, so the two approaches can be compared
+metric for metric.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Set, Tuple
 
 from repro.cluster.coordinator import ExecutorFactory, StateFactory
-from repro.cluster.core import ClusterResult, _dedupe_bugs
+from repro.cluster.core import _dedupe_bugs
 from repro.cluster.jobs import Job, JobTree
-from repro.cluster.stats import RoundSnapshot, TransferCost
+from repro.cluster.stats import ClusterTimeline, RoundSnapshot, TransferCost
 from repro.cluster.worker import DEFAULT_STRATEGY, Worker
 from repro.engine.errors import BugReport
-from repro.engine.limits import ExplorationLimits, effective_limits
+from repro.engine.limits import UNLIMITED, ExplorationLimits
+from repro.engine.result import RunResult
 from repro.engine.test_case import TestCase
 from repro.solver.cache import aggregate_cache_counters
 
@@ -158,32 +160,22 @@ class StaticPartitionCluster:
 
     # -- main loop -----------------------------------------------------------------------
 
-    def run(self, max_rounds: Optional[int] = None,
-            target_coverage_percent: Optional[float] = None,
-            max_paths: Optional[int] = None,
-            stop_on_first_bug: bool = False,
-            max_wall_time: Optional[float] = None,
-            max_instructions: Optional[int] = None,
-            limits: Optional[ExplorationLimits] = None) -> ClusterResult:
+    def run(self, limits: Optional[ExplorationLimits] = None) -> RunResult:
         """Run rounds until exhaustion, a goal, or a budget is spent.
 
         Accepts the same ``limits`` bundle as
         :meth:`~repro.cluster.coordinator.Cloud9Cluster.run`.
         """
-        lim = effective_limits(limits, max_rounds=max_rounds,
-                               coverage_target=target_coverage_percent,
-                               max_paths=max_paths,
-                               stop_on_first_bug=stop_on_first_bug,
-                               max_wall_time=max_wall_time,
-                               max_instructions=max_instructions)
-        max_rounds, target_coverage_percent = lim.max_rounds, lim.coverage_target
-        max_paths, stop_on_first_bug = lim.max_paths, lim.stop_on_first_bug
-        max_wall_time, max_instructions = lim.max_wall_time, lim.max_instructions
+        lim = limits if limits is not None else UNLIMITED
         config = self.config
-        limit = max_rounds if max_rounds is not None else config.max_rounds
+        limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
         line_count = self.workers[0].executor.program.line_count
-        result = ClusterResult(num_workers=config.num_workers,
-                               line_count=line_count)
+        timeline = ClusterTimeline()
+        result = RunResult(backend="static",
+                           test_name=self.workers[0].executor.program.name,
+                           num_workers=config.num_workers,
+                           line_count=line_count, timeline=timeline,
+                           states_transferred=0)
         start = time.monotonic()
         instructions_executed = 0
 
@@ -204,10 +196,11 @@ class StaticPartitionCluster:
                                + sum(w.paths_completed for w in self.workers))
             bugs_found = (len(self.bootstrap.bugs)
                           + sum(len(w.bugs) for w in self.workers))
-            result.timeline.record(RoundSnapshot(
+            candidates = self._total_candidates()
+            timeline.record(RoundSnapshot(
                 round_index=round_index,
                 queue_lengths={w.worker_id: w.queue_length for w in self.workers},
-                total_candidates=self._total_candidates(),
+                total_candidates=candidates,
                 states_transferred=0,
                 useful_instructions=useful_delta,
                 replay_instructions=replay_delta,
@@ -220,46 +213,47 @@ class StaticPartitionCluster:
             ))
             round_index += 1
 
-            if target_coverage_percent is not None and coverage_percent >= target_coverage_percent:
+            # Exhaustion is recorded whether or not a goal was met in the
+            # same round.
+            result.states_remaining = candidates
+            result.exhausted = candidates == 0
+            if lim.coverage_target is not None and coverage_percent >= lim.coverage_target:
                 result.goal_reached = True
                 break
-            if max_paths is not None and paths_completed >= max_paths:
+            if lim.max_paths is not None and paths_completed >= lim.max_paths:
                 result.goal_reached = True
                 break
-            if stop_on_first_bug and bugs_found:
+            if lim.stop_on_first_bug and bugs_found:
                 result.goal_reached = True
                 break
-            if self._total_candidates() == 0:
-                result.exhausted = True
+            if result.exhausted:
                 break
             # Budget limits (spent, not reached: goal_reached stays False).
-            if max_instructions is not None and instructions_executed >= max_instructions:
+            if lim.max_instructions is not None and instructions_executed >= lim.max_instructions:
                 break
-            if max_wall_time is not None and time.monotonic() - start >= max_wall_time:
+            if lim.max_wall_time is not None and time.monotonic() - start >= lim.max_wall_time:
                 break
 
         result.wall_time = time.monotonic() - start
         return self._finalize(result, round_index)
 
-    def _finalize(self, result: ClusterResult, rounds: int) -> ClusterResult:
+    def _finalize(self, result: RunResult, rounds: int) -> RunResult:
         result.rounds_executed = rounds
         result.paths_completed = (self.bootstrap.paths_completed
                                   + sum(w.paths_completed for w in self.workers))
-        result.total_useful_instructions = (
+        result.useful_instructions = (
             self.bootstrap.instructions
             + sum(w.stats.useful_instructions for w in self.workers))
-        result.total_replay_instructions = sum(
+        result.replay_instructions = sum(
             w.stats.replay_instructions for w in self.workers)
         result.covered_lines = self._all_covered_lines()
-        result.coverage_percent = (100.0 * len(result.covered_lines) / result.line_count
-                                   if result.line_count else 0.0)
         all_bugs: List[BugReport] = list(self.bootstrap.bugs)
         result.test_cases.extend(self.bootstrap.test_cases)
         for worker in self.workers:
             all_bugs.extend(worker.bugs)
             result.test_cases.extend(worker.test_cases)
-            result.worker_stats[worker.worker_id] = worker.stats
         result.bugs = _dedupe_bugs(all_bugs)
+        result.worker_stats = {w.worker_id: w.stats for w in self.workers}
         result.transfer_cost = TransferCost.from_worker_stats(
             result.worker_stats.values())
         result.cache_stats = aggregate_cache_counters(

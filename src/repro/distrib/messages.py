@@ -165,7 +165,7 @@ class ImportReply:
 
 @dataclass
 class FinalReply:
-    """Everything the coordinator needs to build the merged ClusterResult."""
+    """Everything the coordinator needs to build the merged RunResult."""
 
     worker_id: int
     stats: WorkerStats

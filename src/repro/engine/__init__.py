@@ -15,13 +15,16 @@ provides:
   (:mod:`repro.engine.strategies`, §7),
 * the uniform exploration limits shared by every backend
   (:mod:`repro.engine.limits`, re-exported as :mod:`repro.api.limits`),
+* the one result type every backend returns (:mod:`repro.engine.result`,
+  re-exported as :mod:`repro.api.result`),
 * a single-node exploration driver (:mod:`repro.engine.executor`).
 """
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
-from repro.engine.executor import ExplorationResult, SymbolicExecutor, StepResult
+from repro.engine.executor import SymbolicExecutor, StepResult
 from repro.engine.limits import ExplorationLimits
+from repro.engine.result import RunResult
 from repro.engine.state import ExecutionState, StateStatus
 from repro.engine.strategies import (
     BfsStrategy,
@@ -40,8 +43,8 @@ __all__ = [
     "EngineConfig",
     "BugKind",
     "BugReport",
-    "ExplorationResult",
     "ExplorationLimits",
+    "RunResult",
     "SymbolicExecutor",
     "StepResult",
     "ExecutionState",

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.engine.config import EngineConfig
-from repro.engine.coverage import CoverageBitVector
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.interpreter import Interpreter
-from repro.engine.limits import ExplorationLimits, effective_limits
+from repro.engine.limits import UNLIMITED, ExplorationLimits
 from repro.engine.natives import NativeRegistry
+from repro.engine.result import RunResult
 from repro.engine.scheduler import CooperativeScheduler
 from repro.engine.state import ExecutionState, ThreadStatus
 from repro.engine.strategies import SearchStrategy, make_strategy
@@ -35,6 +35,7 @@ from repro.lang.compiler import CompiledProgram, compile_program
 from repro.obs.metrics import CounterField, bind_counters, counter_fields
 from repro.obs import schema as trace_schema
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.solver.cache import aggregate_cache_counters
 from repro.solver.solver import Solver
 
 @dataclass
@@ -59,38 +60,6 @@ class StepResult:
     @property
     def running(self) -> List[ExecutionState]:
         return [s for s in self.children if s.is_running]
-
-
-@dataclass
-class ExplorationResult:
-    """Summary of a (single-node) exploration run."""
-
-    program_name: str
-    paths_completed: int = 0
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    covered_lines: Set[int] = field(default_factory=set)
-    line_count: int = 0
-    instructions_executed: int = 0
-    states_remaining: int = 0
-    steps: int = 0
-    wall_time: float = 0.0
-    exhausted: bool = False
-    #: Solver-counter increments over this run (queries, search steps,
-    #: independence groups/hits, ... -- see SolverStats.snapshot()).
-    solver_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def coverage_percent(self) -> float:
-        if not self.line_count:
-            return 0.0
-        return 100.0 * len(self.covered_lines) / self.line_count
-
-    def coverage_vector(self) -> CoverageBitVector:
-        return CoverageBitVector.from_lines(self.line_count, self.covered_lines)
-
-    def bug_kinds(self) -> Set[BugKind]:
-        return {b.kind for b in self.bugs}
 
 
 StateFactory = Callable[[], ExecutionState]
@@ -255,25 +224,13 @@ class SymbolicExecutor:
     def run(self,
             initial_state: Optional[Union[ExecutionState, StateFactory]] = None,
             strategy: Optional[Union[str, SearchStrategy]] = None,
-            max_steps: Optional[int] = None,
-            max_paths: Optional[int] = None,
-            max_instructions: Optional[int] = None,
-            max_wall_time: Optional[float] = None,
-            coverage_target: Optional[float] = None,
-            stop_on_first_bug: bool = False,
-            limits: Optional[ExplorationLimits] = None) -> ExplorationResult:
+            limits: Optional[ExplorationLimits] = None) -> RunResult:
         """Explore until exhaustion or until a limit/goal is reached.
 
-        Limits may be given as explicit kwargs or bundled in an
-        :class:`~repro.engine.limits.ExplorationLimits` (explicit kwargs
-        win); ``limits.max_rounds`` has no meaning on a single engine and is
+        ``limits.max_rounds`` has no meaning on a single engine and is
         ignored.
         """
-        lim = effective_limits(limits, max_steps=max_steps, max_paths=max_paths,
-                               max_instructions=max_instructions,
-                               max_wall_time=max_wall_time,
-                               coverage_target=coverage_target,
-                               stop_on_first_bug=stop_on_first_bug)
+        lim = limits if limits is not None else UNLIMITED
         max_steps, max_paths = lim.max_steps, lim.max_paths
         max_instructions, max_wall_time = lim.max_instructions, lim.max_wall_time
         coverage_target, stop_on_first_bug = lim.coverage_target, lim.stop_on_first_bug
@@ -293,8 +250,8 @@ class SymbolicExecutor:
         tree.root.materialize(state)
         candidates: Dict[int, TreeNode] = {tree.root.node_id: tree.root}
 
-        result = ExplorationResult(program_name=self.program.name,
-                                   line_count=self.program.line_count)
+        result = RunResult(backend="single", test_name=self.program.name,
+                           line_count=self.program.line_count, steps=0)
         start = time.monotonic()
         instructions_at_start = self.total_instructions
         paths_at_start = self.paths_completed
@@ -311,22 +268,30 @@ class SymbolicExecutor:
         traced_bugs = bugs_at_start
         traced_prev_useful = 0
 
-        while candidates:
-            if max_steps is not None and result.steps >= max_steps:
-                break
+        # Goals first, then exhaustion, then budgets -- the cluster
+        # backends' order, so a goal met by the step that empties the
+        # frontier is reported as reached on every backend.
+        while True:
             if stop_on_first_bug and len(self.bugs) > bugs_at_start:
+                result.goal_reached = True
                 break
             if max_paths is not None and self.paths_completed - paths_at_start >= max_paths:
+                result.goal_reached = True
+                break
+            if coverage_target is not None and result.line_count:
+                percent = 100.0 * len(self.covered_lines) / result.line_count
+                if percent >= coverage_target:
+                    result.goal_reached = True
+                    break
+            if not candidates:
+                break
+            if max_steps is not None and result.steps >= max_steps:
                 break
             if max_instructions is not None and (
                     self.total_instructions - instructions_at_start >= max_instructions):
                 break
             if max_wall_time is not None and time.monotonic() - start > max_wall_time:
                 break
-            if coverage_target is not None and result.line_count:
-                percent = 100.0 * len(self.covered_lines) / result.line_count
-                if percent >= coverage_target:
-                    break
 
             node = strategy.select(tree, list(candidates.values()))
             step_result = self.step(node.state)
@@ -351,27 +316,28 @@ class SymbolicExecutor:
         result.bugs = list(self.bugs)
         result.test_cases = list(self.test_cases)
         result.covered_lines = set(self.covered_lines)
-        result.instructions_executed = self.total_instructions - instructions_at_start
+        result.useful_instructions = self.total_instructions - instructions_at_start
         result.states_remaining = len(candidates)
         result.wall_time = time.monotonic() - start
-        result.solver_stats = self.solver.stats.delta_since(solver_stats_at_start)
+        result.cache_stats = aggregate_cache_counters([self.solver.cache_counters()])
         if tracer.enabled:
             self._trace_round(tracer, traced_rounds, start, result,
                               instructions_at_start, paths_at_start, candidates,
                               traced_prev_useful)
+            solver_stats = self.solver.stats.delta_since(solver_stats_at_start)
             tracer.emit(trace_schema.SOLVER_QUERY, **{k: v for k, v
-                                           in result.solver_stats.items() if v})
+                                           in solver_stats.items() if v})
             tracer.emit(trace_schema.RUN_FINISHED, paths=result.paths_completed,
                         coverage_percent=round(result.coverage_percent, 3),
                         bugs=len(result.bugs), steps=result.steps,
-                        instructions=result.instructions_executed,
+                        instructions=result.useful_instructions,
                         exhausted=result.exhausted,
                         wall_time=round(result.wall_time, 6))
             tracer.close()
         return result
 
     def _trace_round(self, tracer, round_index: int, start: float,
-                     result: ExplorationResult, instructions_at_start: int,
+                     result: RunResult, instructions_at_start: int,
                      paths_at_start: int, candidates: Dict[int, TreeNode],
                      prev_useful: int) -> int:
         """One pseudo ``round_completed`` event (single-engine time series).

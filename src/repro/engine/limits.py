@@ -1,14 +1,14 @@
 """Uniform exploration limits shared by every execution backend.
 
-Historically each entry point grew its own subset of limit kwargs with
-subtly different names (``coverage_target`` vs ``target_coverage_percent``,
-``max_steps`` vs ``max_rounds``), so switching a test between the single
-engine and a cluster meant re-plumbing every knob.  :class:`ExplorationLimits`
-is the single bag of budgets and goals accepted by
+:class:`ExplorationLimits` is the one bag of budgets and goals, and the
+``limits=`` argument is the only way a budget reaches an engine:
 :meth:`repro.engine.executor.SymbolicExecutor.run`,
-:meth:`repro.cluster.coordinator.Cloud9Cluster.run`,
-:meth:`repro.cluster.static_partition.StaticPartitionCluster.run` and the
-:mod:`repro.api.runner` backends.
+:meth:`repro.cluster.core.CoordinatorCore.run` (every coordinator backend)
+and :meth:`repro.cluster.static_partition.StaticPartitionCluster.run` take
+nothing else, so a test moves between the single engine and a cluster
+without re-plumbing a knob.  ``SymbolicTest.run`` and the
+:mod:`repro.api.runner` backends also accept the fields as loose kwargs and
+fold them into one ``limits`` bundle (:meth:`ExplorationLimits.pop_from`).
 
 A backend applies every limit that is meaningful for it and ignores the
 rest (``max_steps`` only bounds single-engine scheduling steps; ``max_rounds``
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
-__all__ = ["ExplorationLimits", "UNLIMITED", "effective_limits"]
+__all__ = ["ExplorationLimits", "UNLIMITED"]
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,3 @@ class ExplorationLimits:
 #: Shared "no limits at all" instance (the dataclass is frozen, so safe).
 UNLIMITED = ExplorationLimits()
 
-
-def effective_limits(limits: Optional[ExplorationLimits],
-                     **explicit: object) -> ExplorationLimits:
-    """Merge explicit per-call kwargs over a limits object.
-
-    ``None`` (and ``False`` for ``stop_on_first_bug``) explicit values are
-    treated as "not given" so they never mask a limit carried by ``limits``.
-    """
-    base = limits if limits is not None else UNLIMITED
-    overrides = {name: value for name, value in explicit.items()
-                 if value is not None and value is not False}
-    return base.merged(**overrides) if overrides else base

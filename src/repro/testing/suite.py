@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.api.limits import ExplorationLimits, effective_limits
+from repro.api.limits import ExplorationLimits
+from repro.api.result import RunResult
 from repro.engine.errors import BugReport
-from repro.engine.executor import ExplorationResult
 from repro.testing.report import CoverageAccounting
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -17,7 +17,7 @@ class SuiteResult:
     """Aggregated outcome of running a suite of symbolic tests."""
 
     suite_name: str
-    per_test: Dict[str, ExplorationResult] = field(default_factory=dict)
+    per_test: Dict[str, RunResult] = field(default_factory=dict)
     line_count: int = 0
 
     @property
@@ -72,24 +72,12 @@ class SymbolicTestSuite:
     def __iter__(self):
         return iter(self.tests)
 
-    def run(self, max_paths_per_test: Optional[int] = None,
-            max_steps_per_test: Optional[int] = None,
-            max_instructions_per_test: Optional[int] = None,
-            limits: Optional[ExplorationLimits] = None) -> SuiteResult:
-        """Run every test on a single engine and aggregate the results.
-
-        Per-test limits may be given as the legacy ``*_per_test`` kwargs or
-        as one :class:`~repro.api.limits.ExplorationLimits` applied to each
-        test (explicit kwargs win).
-        """
-        per_test_limits = effective_limits(
-            limits,
-            max_paths=max_paths_per_test,
-            max_steps=max_steps_per_test,
-            max_instructions=max_instructions_per_test)
+    def run(self, limits: Optional[ExplorationLimits] = None) -> SuiteResult:
+        """Run every test on a single engine and aggregate the results;
+        ``limits`` applies to each test separately."""
         result = SuiteResult(suite_name=self.name)
         for test in self.tests:
-            exploration = test.run(backend="single", limits=per_test_limits).raw
-            result.per_test[test.name] = exploration
-            result.line_count = max(result.line_count, exploration.line_count)
+            outcome = test.run(backend="single", limits=limits)
+            result.per_test[test.name] = outcome
+            result.line_count = max(result.line_count, outcome.line_count)
         return result

@@ -13,7 +13,7 @@ backend through :meth:`SymbolicTest.run`::
     test.run(backend="process", workers=4)            # worker processes
                                                       # (spec-built tests)
 
-``run_single`` remains as a thin shim returning the legacy result type.
+Every backend returns the same :class:`~repro.api.result.RunResult`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Type, Union
 
-from repro.api.limits import ExplorationLimits, effective_limits
+from repro.api.limits import ExplorationLimits
 from repro.api.result import RunResult
 from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig
 from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
 from repro.engine.config import EngineConfig
-from repro.engine.executor import ExplorationResult, SymbolicExecutor
+from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
@@ -127,22 +127,6 @@ class SymbolicTest:
         """
         from repro.api.runner import run_test
         return run_test(self, backend=backend, limits=limits, **options)
-
-    # -- single-node execution (plain KLEE / 1-worker Cloud9) ----------------------------
-
-    def run_single(self,
-                   max_steps: Optional[int] = None,
-                   max_paths: Optional[int] = None,
-                   max_instructions: Optional[int] = None,
-                   max_wall_time: Optional[float] = None,
-                   coverage_target: Optional[float] = None,
-                   strategy: Optional[str] = None) -> ExplorationResult:
-        """Deprecated shim: use ``run(backend="single", ...)`` instead."""
-        limits = effective_limits(None, max_steps=max_steps, max_paths=max_paths,
-                                  max_instructions=max_instructions,
-                                  max_wall_time=max_wall_time,
-                                  coverage_target=coverage_target)
-        return self.run(backend="single", limits=limits, strategy=strategy).raw
 
     # -- cluster execution -----------------------------------------------------------------
 

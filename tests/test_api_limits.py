@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.limits import UNLIMITED, ExplorationLimits, effective_limits
+from repro.api.limits import ExplorationLimits
 
 
 class TestExplorationLimits:
@@ -65,18 +65,3 @@ class TestExplorationLimits:
         limits = ExplorationLimits(max_steps=1, max_wall_time=2.5,
                                    stop_on_first_bug=True)
         assert ExplorationLimits(**limits.as_dict()) == limits
-
-
-class TestEffectiveLimits:
-    def test_none_limits_yields_unlimited(self):
-        assert effective_limits(None) == UNLIMITED
-
-    def test_explicit_kwargs_win(self):
-        base = ExplorationLimits(max_paths=10)
-        assert effective_limits(base, max_paths=3).max_paths == 3
-
-    def test_none_explicit_values_do_not_mask_base(self):
-        base = ExplorationLimits(max_paths=10, stop_on_first_bug=True)
-        merged = effective_limits(base, max_paths=None, stop_on_first_bug=False)
-        assert merged.max_paths == 10
-        assert merged.stop_on_first_bug is True

@@ -1,5 +1,6 @@
 """Tests for the unified runner API: registry dispatch, limits round-trip
-into every backend, RunResult adapters, and the strategy-propagation fix."""
+into every backend, the one RunResult every engine builds, and the
+strategy-propagation fix."""
 
 import pytest
 
@@ -12,9 +13,13 @@ from repro.api.runner import (
     run_test,
     _RUNNERS,
 )
-from repro.cluster import ClusterConfig, StaticPartitionConfig
-from repro.cluster.coordinator import ClusterResult
-from repro.engine.executor import ExplorationResult
+from repro.cluster import (
+    Cloud9Cluster,
+    ClusterConfig,
+    StaticPartitionConfig,
+    ThreadedCloud9Cluster,
+)
+from repro.distrib import specs
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program, single_branch_program
@@ -53,12 +58,14 @@ class TestRegistry:
         register_runner(runner, replace=True)  # no-op override is fine
 
     def test_custom_backend_dispatches(self):
+        seen = []
+
         class EchoRunner:
             name = "echo-test-backend"
 
             def run(self, test, limits=None, **options):
-                return RunResult(backend=self.name, test_name=test.name,
-                                 raw=(limits, options))
+                seen.append((limits, options))
+                return RunResult(backend=self.name, test_name=test.name)
 
         register_runner(EchoRunner())
         try:
@@ -66,7 +73,7 @@ class TestRegistry:
             result = test.run(backend="echo-test-backend", max_paths=3,
                               custom_knob=7)
             assert result.backend == "echo-test-backend"
-            limits, options = result.raw
+            [(limits, options)] = seen
             assert limits.max_paths == 3           # folded out of the options
             assert options == {"custom_knob": 7}   # the rest passed through
             assert isinstance(EchoRunner(), Runner)
@@ -99,7 +106,6 @@ class TestBackendDispatch:
         config = ClusterConfig(num_workers=2, instructions_per_round=40)
         result = test.run(backend="cluster", config=config)
         assert result.num_workers == 2
-        assert result.raw.num_workers == 2
 
     def test_config_and_loose_options_are_mutually_exclusive(self):
         test = SymbolicTest("t", single_branch_program())
@@ -122,7 +128,7 @@ class TestLimitsRoundTrip:
     def test_single_max_steps(self):
         test = SymbolicTest("t", branchy_program(2))
         result = test.run(limits=ExplorationLimits(max_steps=5))
-        assert result.raw.steps == 5
+        assert result.steps == 5
         assert not result.exhausted
 
     def test_single_stop_on_first_bug(self):
@@ -175,75 +181,94 @@ class TestLimitsRoundTrip:
         assert r1.paths_completed == r2.paths_completed == 3
 
 
-class TestRunResultAdapters:
-    def test_from_exploration_preserves_every_field(self):
+class TestOneResultType:
+    @pytest.mark.parametrize("engine", ["executor", "cluster", "threaded",
+                                        "static", "process"])
+    def test_every_engine_returns_a_run_result(self, engine):
+        test = SymbolicTest("t", branchy_program(1))
+        if engine == "executor":
+            result = test.build_executor().run()
+        elif engine == "static":
+            result = test.build_static_cluster(
+                StaticPartitionConfig(num_workers=2)).run()
+        elif engine == "process":
+            result = specs.resolve_test("printf", format_length=1).run(
+                backend="process", workers=2)
+        else:
+            cluster_class = {"cluster": Cloud9Cluster,
+                             "threaded": ThreadedCloud9Cluster}[engine]
+            result = test.build_cluster(ClusterConfig(num_workers=2),
+                                        cluster_class=cluster_class).run()
+        assert type(result) is RunResult
+        assert result.exhausted and result.paths_completed > 0
+
+    def test_single_engine_fields(self):
         test = SymbolicTest("t", buggy_program())
         result = test.run()
-        legacy = result.raw
-        assert isinstance(legacy, ExplorationResult)
+        assert result.backend == "single"
         assert result.test_name == "t"
         assert result.num_workers == 1
-        assert result.paths_completed == legacy.paths_completed
-        assert result.covered_lines == legacy.covered_lines
-        assert result.line_count == legacy.line_count
-        assert result.coverage_percent == legacy.coverage_percent
-        assert result.bugs == legacy.bugs
-        assert result.test_cases == legacy.test_cases
-        assert result.useful_instructions == legacy.instructions_executed
+        assert result.paths_completed == 2 == len(result.test_cases)
+        assert result.bug_kinds() and result.found_bug
+        assert result.useful_instructions > 0
         assert result.replay_instructions == 0
-        assert result.total_instructions == legacy.instructions_executed
-        assert result.exhausted == legacy.exhausted
-        assert result.states_remaining == legacy.states_remaining
-        assert result.wall_time == legacy.wall_time
-        assert result.steps == legacy.steps
-        assert result.bug_kinds() == legacy.bug_kinds()
+        assert result.total_instructions == result.useful_instructions
+        assert result.exhausted and result.states_remaining == 0
+        assert result.steps > 0 and result.wall_time >= 0.0
         # single-engine runs have no cluster-only notions
         assert result.rounds_executed is None
         assert result.timeline is None
         assert result.worker_stats is None
         assert result.states_transferred is None
         assert result.rounds_to_coverage(10.0) is None
-        # ... but solver-cache behavior is observable on every backend
         assert result.transfer_cost is None
         assert result.transfer_savings_ratio == 0.0
-        assert result.cache_stats is not None
+        # ... but solver-cache behavior is observable on every backend
         assert result.cache_stats["constraint_cache_misses"] > 0
         assert 0.0 <= result.cache_stats["constraint_cache_hit_rate"] <= 1.0
 
-    def test_from_cluster_preserves_every_field(self):
+    def test_cluster_fields(self):
         test = SymbolicTest("t", branchy_program(2))
         result = test.run(backend="cluster", workers=3,
                           instructions_per_round=50)
-        legacy = result.raw
-        assert isinstance(legacy, ClusterResult)
-        assert result.num_workers == legacy.num_workers == 3
-        assert result.paths_completed == legacy.paths_completed
-        assert result.covered_lines == legacy.covered_lines
-        assert result.line_count == legacy.line_count
-        assert result.coverage_percent == pytest.approx(legacy.coverage_percent)
-        assert result.bugs == legacy.bugs
-        assert result.test_cases == legacy.test_cases
-        assert result.useful_instructions == legacy.total_useful_instructions
-        assert result.replay_instructions == legacy.total_replay_instructions
-        assert result.replay_overhead == pytest.approx(legacy.replay_overhead)
-        assert (result.useful_instructions_per_worker
-                == pytest.approx(legacy.useful_instructions_per_worker))
-        assert result.exhausted == legacy.exhausted
-        assert result.goal_reached == legacy.goal_reached
-        assert result.rounds_executed == legacy.rounds_executed
-        assert result.timeline is legacy.timeline
-        assert result.worker_stats == legacy.worker_stats
-        assert result.states_transferred == legacy.total_states_transferred
-        assert result.bug_summaries() == legacy.bug_summaries()
-        assert (result.rounds_to_coverage(1.0)
-                == legacy.rounds_to_coverage(1.0))
+        assert result.backend == "cluster"
+        assert result.test_name == "t"
+        assert result.num_workers == 3
+        assert result.paths_completed == 9 == len(result.test_cases)
+        assert result.exhausted and result.states_remaining == 0
+        assert result.steps is None
+        assert result.rounds_executed == len(result.timeline.snapshots)
+        assert (result.timeline.useful_work_series()[-1]
+                == result.useful_instructions)
+        assert set(result.worker_stats) == {1, 2, 3}
+        assert result.useful_instructions == sum(
+            s.useful_instructions for s in result.worker_stats.values())
+        assert result.replay_instructions == sum(
+            s.replay_instructions for s in result.worker_stats.values())
+        assert result.states_transferred == sum(
+            snap.states_transferred for snap in result.timeline.snapshots)
+        assert result.transfer_cost.jobs >= result.states_transferred
+        assert result.rounds_to_coverage(1.0) is not None
         # rounds are virtual time, but real elapsed seconds are recorded too
-        assert result.wall_time == legacy.wall_time >= 0.0
-        # transfer cost and solver-cache counters are carried over
-        assert result.transfer_cost is legacy.transfer_cost
-        assert result.transfer_cost.jobs >= legacy.total_states_transferred
-        assert result.cache_stats == legacy.cache_stats
+        assert result.wall_time >= 0.0
+        assert result.messages_sent > 0
         assert result.cache_stats["constraint_cache_misses"] > 0
+
+
+class TestExhaustedIsBackendIndependent:
+    @pytest.mark.parametrize("backend", ["single", "cluster", "threaded",
+                                         "static"])
+    def test_goal_met_in_the_emptying_round_still_exhausts(self, backend):
+        """max_paths equal to the path count: the goal is met by the very
+        step/round that empties the frontier, which every backend must
+        report as both a reached goal and an exhausted frontier."""
+        options = {} if backend == "single" else {"workers": 2}
+        result = SymbolicTest("t", branchy_program(2)).run(
+            backend=backend, max_paths=9, **options)
+        assert result.paths_completed == 9
+        assert result.states_remaining == 0
+        assert result.exhausted
+        assert result.goal_reached
 
 
 class TestStrategyPropagation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.engine import SymbolicExecutor
 from repro.posix import install_posix_model
@@ -41,7 +42,7 @@ class TestEndToEnd:
         busy_workers = [wid for wid, stats in result.worker_stats.items()
                         if stats.useful_instructions > 0]
         assert len(busy_workers) >= 2
-        assert result.total_states_transferred > 0
+        assert result.states_transferred > 0
 
     def test_frontier_disjointness_invariant_holds_during_run(self):
         cluster = make_cluster(3, buffer_size=3, instructions_per_round=30)
@@ -77,23 +78,23 @@ class TestEndToEnd:
         ))
         test = SymbolicTest("buggy", program)
         result = test.run(backend="cluster", workers=3,
-                          instructions_per_round=20).raw
+                          instructions_per_round=20)
         assert len(result.bugs) == 1
 
     def test_timeline_records_rounds(self):
         cluster = make_cluster(2)
         result = cluster.run()
         assert len(result.timeline) == result.rounds_executed
-        assert result.timeline.useful_work_series()[-1] == result.total_useful_instructions
+        assert result.timeline.useful_work_series()[-1] == result.useful_instructions
 
     def test_goal_coverage_stops_early(self):
         cluster = make_cluster(2, buffer_size=3)
-        result = cluster.run(target_coverage_percent=50.0)
+        result = cluster.run(limits=ExplorationLimits(coverage_target=50.0))
         assert result.goal_reached or result.exhausted
 
     def test_max_paths_goal(self):
         cluster = make_cluster(2, buffer_size=3)
-        result = cluster.run(max_paths=5)
+        result = cluster.run(limits=ExplorationLimits(max_paths=5))
         assert result.paths_completed >= 5
 
     def test_stop_on_first_bug(self):
@@ -108,7 +109,7 @@ class TestEndToEnd:
         test = SymbolicTest("buggy", program)
         result = test.run(backend="cluster", workers=2,
                           instructions_per_round=20,
-                          stop_on_first_bug=True).raw
+                          stop_on_first_bug=True)
         assert result.bugs
 
 
@@ -133,7 +134,7 @@ class TestLoadBalancingBehaviour:
         cluster = make_cluster(4, buffer_size=3, load_balancing_enabled=False)
         result = cluster.run()
         assert result.exhausted
-        assert result.total_states_transferred == 0
+        assert result.states_transferred == 0
         busy = [wid for wid, stats in result.worker_stats.items()
                 if stats.useful_instructions > 0]
         assert busy == [1]

@@ -525,7 +525,7 @@ class TestInProcessFaultTolerance:
         assert result.exhausted
         assert result.worker_failures == 1
         assert result.jobs_recovered > 0
-        assert 2 in result.raw.failed_worker_stats
+        assert 2 in result.failed_worker_stats
         assert self._traces(result) == self._traces(crash_free)
         assert result.covered_lines == crash_free.covered_lines
         assert result.bug_summaries() == crash_free.bug_summaries()
@@ -657,22 +657,6 @@ class TestCheckpointResume:
         assert resumed.coverage_percent == full.coverage_percent
         assert resumed.covered_lines == full.covered_lines
         assert resumed.paths_completed == full.paths_completed
-
-
-class TestRunResultPlumbing:
-    def test_run_result_carries_recovery_counters(self):
-        from repro.api.result import RunResult
-        from repro.cluster.coordinator import ClusterResult
-
-        cluster_result = ClusterResult(num_workers=2, worker_failures=1,
-                                       jobs_recovered=3, respawns=1,
-                                       resumed_from_round=5)
-        run_result = RunResult.from_cluster(cluster_result, backend="process",
-                                            test_name="x")
-        assert run_result.worker_failures == 1
-        assert run_result.jobs_recovered == 3
-        assert run_result.respawns == 1
-        assert run_result.resumed_from_round == 5
 
 
 # -- elastic membership ------------------------------------------------------------------

@@ -42,28 +42,28 @@ class TestBootstrapSplit:
 class TestStaticExploration:
     def test_explores_all_paths_of_small_program(self):
         test = make_test(branchy_program(3))
-        reference = test.run_single()
-        result = test.run(backend="static", workers=3).raw
+        reference = test.run()
+        result = test.run(backend="static", workers=3)
         assert result.exhausted
         assert result.paths_completed == reference.paths_completed
 
     def test_coverage_matches_single_node_run(self):
         test = make_test(branchy_program(3))
-        reference = test.run_single()
-        result = test.run(backend="static", workers=2).raw
+        reference = test.run()
+        result = test.run(backend="static", workers=2)
         assert result.covered_lines == reference.covered_lines
 
     def test_no_states_are_ever_transferred(self):
         test = make_test(branchy_program(3))
-        result = test.run(backend="static", workers=3).raw
-        assert result.total_states_transferred == 0
+        result = test.run(backend="static", workers=3)
+        assert result.states_transferred == 0
         assert all(not snap.load_balancing_enabled
                    for snap in result.timeline.snapshots)
 
     def test_exit_codes_match_dynamic_cluster(self):
         test = make_test(branchy_program(2))
-        static = test.run(backend="static", workers=2).raw
-        dynamic = test.run(backend="cluster", workers=2).raw
+        static = test.run(backend="static", workers=2)
+        dynamic = test.run(backend="cluster", workers=2)
         static_codes = sorted(tc.exit_code for tc in static.test_cases)
         dynamic_codes = sorted(tc.exit_code for tc in dynamic.test_cases)
         assert static_codes == dynamic_codes

@@ -1,6 +1,7 @@
 """Unit tests for the single-node exploration driver and its limits."""
 
 from repro import lang as L
+from repro.api import ExplorationLimits
 from repro.engine import SymbolicExecutor
 from repro.engine.strategies import make_strategy
 
@@ -17,24 +18,24 @@ class TestRunLimits:
 
     def test_max_paths_limit(self):
         executor = make_executor(branchy_program(3))
-        result = executor.run(max_paths=5)
+        result = executor.run(limits=ExplorationLimits(max_paths=5))
         assert result.paths_completed >= 5
         assert not result.exhausted
 
     def test_max_steps_limit(self):
         executor = make_executor(branchy_program(3))
-        result = executor.run(max_steps=10)
+        result = executor.run(limits=ExplorationLimits(max_steps=10))
         assert result.steps == 10
 
     def test_max_instructions_limit(self):
         executor = make_executor(branchy_program(3))
-        result = executor.run(max_instructions=50)
-        assert result.instructions_executed >= 50
+        result = executor.run(limits=ExplorationLimits(max_instructions=50))
+        assert result.useful_instructions >= 50
         assert not result.exhausted
 
     def test_coverage_target_stops_early(self):
         executor = make_executor(branchy_program(3))
-        result = executor.run(coverage_target=50.0)
+        result = executor.run(limits=ExplorationLimits(coverage_target=50.0))
         assert result.coverage_percent >= 50.0
 
     def test_coverage_percent_bounded(self):

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.api import ExplorationLimits
 from repro.cluster.stats import WorkerStats
 from repro.obs.metrics import (
     Counter,
@@ -143,7 +144,7 @@ class TestStatsViews:
 
     def test_executor_counters_live_in_solver_registry(self):
         executor = make_executor(branchy_program(2))
-        executor.run(max_paths=4)
+        executor.run(limits=ExplorationLimits(max_paths=4))
         snap = executor.metrics.snapshot()
         assert snap["engine_instructions"] == executor.total_instructions
         assert snap["engine_instructions"] > 0

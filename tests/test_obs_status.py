@@ -5,6 +5,7 @@ import socket
 
 import pytest
 
+from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig, ThreadedCloud9Cluster
 from repro.obs.status import StatusServer, parse_status_address, read_status
 from repro.testing import SymbolicTest
@@ -88,7 +89,7 @@ class TestInProcessBackendsServeStatus:
                 seen.update(read_status(cl.status_address) or {})
 
         cluster.round_hook = hook
-        cluster.run(max_rounds=10)
+        cluster.run(limits=ExplorationLimits(max_rounds=10))
         return seen
 
     def test_cluster_backend_serves_live_status(self):
@@ -113,5 +114,5 @@ class TestInProcessBackendsServeStatus:
         test = SymbolicTest("branchy", branchy_program(2))
         cluster = test.build_cluster(ClusterConfig(num_workers=2))
         assert cluster.status_address is None
-        cluster.run(max_rounds=5)
+        cluster.run(limits=ExplorationLimits(max_rounds=5))
         assert cluster.status_address is None

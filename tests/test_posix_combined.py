@@ -24,7 +24,7 @@ PROT_RW = 0x3
 def run_program(*main_body, functions=(), setup=None, options=None):
     program = L.program("p", *functions, L.func("main", [], *main_body))
     test = SymbolicTest("t", program, setup=setup, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestForkPlusSharedMemory:
@@ -171,9 +171,9 @@ class TestClockAndScheduling:
                   [L.ret(L.mod(L.var("t"), 251))]),
         ))
         test = SymbolicTest("clocked", program)
-        single = test.run_single()
+        single = test.run()
         cluster = test.run(backend="cluster", workers=2,
-                           instructions_per_round=100).raw
+                           instructions_per_round=100)
         single_codes = sorted(tc.exit_code for tc in single.test_cases)
         cluster_codes = sorted(tc.exit_code for tc in cluster.test_cases)
         assert single_codes == cluster_codes

@@ -9,7 +9,7 @@ from repro.testing import SymbolicTest
 def run_program(entry_body, options=None, extra_funcs=()):
     program = L.program("p", *extra_funcs, L.func("main", [], *entry_body))
     test = SymbolicTest("t", program, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 def socketpair_prelude():

@@ -11,7 +11,7 @@ from conftest import make_executor
 def run_program(*main_body, setup=None, options=None):
     program = L.program("p", L.func("main", [], *main_body))
     test = SymbolicTest("t", program, setup=setup, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestOpenReadWrite:

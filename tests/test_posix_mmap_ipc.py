@@ -19,7 +19,7 @@ ERR = 0xFFFFFFFF
 def run_program(*main_body, functions=(), setup=None, options=None):
     program = L.program("p", *functions, L.func("main", [], *main_body))
     test = SymbolicTest("t", program, setup=setup, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestMmapAnonymous:

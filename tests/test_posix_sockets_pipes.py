@@ -8,7 +8,7 @@ from repro.testing import SymbolicTest
 def run_program(*main_functions, entry_body=None, options=None, extra_funcs=()):
     program = L.program("p", *extra_funcs, L.func("main", [], *entry_body))
     test = SymbolicTest("t", program, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestSocketPair:

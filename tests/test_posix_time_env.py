@@ -9,7 +9,7 @@ from repro.testing import SymbolicTest
 def run_program(*main_body, functions=(), setup=None, options=None):
     program = L.program("p", *functions, L.func("main", [], *main_body))
     test = SymbolicTest("t", program, setup=setup, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestVirtualClock:

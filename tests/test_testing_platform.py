@@ -13,13 +13,13 @@ from conftest import branchy_program, single_branch_program
 class TestSymbolicTest:
     def test_run_single(self):
         test = SymbolicTest("t", single_branch_program())
-        result = test.run_single()
+        result = test.run()
         assert result.paths_completed == 2
 
     def test_run_cluster(self):
         test = SymbolicTest("t", branchy_program(2))
         result = test.run(backend="cluster", workers=3,
-                          instructions_per_round=50).raw
+                          instructions_per_round=50)
         assert result.paths_completed == 9
 
     def test_options_reach_the_state(self):
