@@ -9,7 +9,8 @@ the static side directly by running the same workload to exhaustion on
 
 * the Cloud9 cluster (dynamic partitioning + load balancing), and
 * :class:`repro.cluster.StaticPartitionCluster` (one up-front split, no
-  transfers),
+  transfers) -- the same coordinator shell, seeded by a breadth-first split
+  and with balancing off, so the two runs differ only in where work moves,
 
 and comparing (a) virtual rounds until the exhaustive test completes -- the
 Fig. 7 metric -- and (b) the fraction of worker-rounds spent idle.  The

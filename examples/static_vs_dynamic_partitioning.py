@@ -6,7 +6,11 @@ format-string workload of Fig. 8 -- on two parallel configurations:
 
 * a Cloud9 cluster with dynamic partitioning and load balancing, and
 * a static partitioning of the execution tree (the strawman the paper argues
-  against: split once, never rebalance).
+  against: split once, never rebalance).  It is the same coordinator with
+  one difference in seeding and one in balancing: a breadth-first split in
+  the coordinator deals one prefix per worker, and no job ever moves
+  afterwards.  Both runs share the coverage overlay, so only where the work
+  goes differs.
 
 It then prints the per-round queue lengths of both runs so the imbalance is
 visible directly: under static partitioning some workers drain their subtree

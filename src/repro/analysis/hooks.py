@@ -3,9 +3,9 @@
 Since the ``CoordinatorCore`` extraction, the round engine is a template
 method: the core owns the protocol (``run``/``_run``/``_finalize``, drains,
 transfers, recovery) and backends fill in a declared hook surface
-(``_launch``, ``_admit_member``, ``_teardown_run``).  The contract is marked in
-source with the :func:`repro.cluster.core.backend_hook` decorator; these
-checks enforce it structurally, across modules:
+(``_launch``, ``_seed``, ``_admit_member``, ``_teardown_run``).  The contract
+is marked in source with the :func:`repro.cluster.core.backend_hook`
+decorator; these checks enforce it structurally, across modules:
 
 ``CORE001``
     A concrete backend shell (a subclass that declares no abstract methods

@@ -14,7 +14,9 @@ Built-in backends:
 * ``"single"``   -- one in-process engine (plain KLEE / 1-worker Cloud9).
 * ``"cluster"``  -- the virtual-time Cloud9 cluster with dynamic load
   balancing (:class:`~repro.cluster.coordinator.Cloud9Cluster`).
-* ``"static"``   -- the §2 static-partitioning strawman baseline.
+* ``"static"``   -- the §2 static-partitioning strawman baseline: the same
+  cluster seeded by a one-time split, with balancing off
+  (:class:`~repro.cluster.static_partition.StaticPartitionCluster`).
 * ``"threaded"`` -- the Cloud9 cluster with workers stepped on an OS thread
   pool each round (wall-clock parallelism on one machine, bounded by the
   GIL).
@@ -39,7 +41,7 @@ from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cluster.coordinator import ClusterConfig
-from repro.cluster.static_partition import StaticPartitionConfig
+from repro.cluster.static_partition import StaticPartitionCluster
 from repro.cluster.threaded import ThreadedCloud9Cluster
 
 from repro.api.limits import ExplorationLimits
@@ -95,7 +97,9 @@ def _build_cluster_config(config_cls, workers: Optional[int],
             raise TypeError(
                 "pass either a full config= or loose options, not both "
                 "(got config plus %s)" % ", ".join(extra))
-        if not isinstance(config, config_cls):
+        # Exact type: a ProcessClusterConfig is a ClusterConfig too, but an
+        # in-process backend would silently ignore its carrier fields.
+        if type(config) is not config_cls:
             raise TypeError("config must be a %s, got %r"
                             % (config_cls.__name__, type(config).__name__))
         return config
@@ -146,6 +150,13 @@ class ThreadedRunner(ClusterRunner):
 
     name = "threaded"
     cluster_class = ThreadedCloud9Cluster
+
+
+class StaticPartitionRunner(ClusterRunner):
+    """The static-partitioning baseline the paper argues against (§2)."""
+
+    name = "static"
+    cluster_class = StaticPartitionCluster
 
 
 class ProcessRunner:
@@ -206,19 +217,6 @@ class TcpRunner(ProcessRunner):
         if "config" not in options:
             options.setdefault("transport", "tcp")
         return super().run(test, limits=limits, **options)
-
-
-class StaticPartitionRunner:
-    """The static-partitioning baseline the paper argues against (§2)."""
-
-    name = "static"
-
-    def run(self, test: "SymbolicTest",
-            limits: Optional[ExplorationLimits] = None,
-            workers: Optional[int] = None, **options: object) -> RunResult:
-        config = _build_cluster_config(StaticPartitionConfig, workers, options)
-        cluster = test.build_static_cluster(config)
-        return cluster.run(limits=limits)
 
 
 # -- the registry ---------------------------------------------------------------------

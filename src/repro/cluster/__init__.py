@@ -15,7 +15,8 @@ execution tree across shared-nothing workers:
 * :mod:`repro.cluster.core` -- :class:`CoordinatorCore`, the one
   coordinator shell: the §3 command/reply protocol, brokered transfers,
   failure recovery, checkpoints and finalization, over any carrier
-  (in-process, forked processes, TCP agents).
+  (in-process, forked processes, TCP agents); and :class:`ClusterConfig`,
+  the one config it reads (the process backend's config extends it).
 * :mod:`repro.cluster.coordinator` -- the in-process backend: members are
   :class:`~repro.distrib.worker.DistribWorker` objects behind an
   :class:`~repro.net.transport.InProcTransport`, plus the public
@@ -23,7 +24,8 @@ execution tree across shared-nothing workers:
 * :mod:`repro.cluster.threaded` -- the same cluster with the members'
   commands on an OS thread pool (wall-clock parallelism on one machine).
 * :mod:`repro.cluster.static_partition` -- the static-partitioning baseline
-  the paper argues against (§2, §8), used by the ablation benchmarks.
+  the paper argues against (§2, §8), used by the ablation benchmarks: the
+  in-process cluster seeded by a one-time split, with balancing off.
 * :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
   by the evaluation harness.
 * :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger used
@@ -44,7 +46,7 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
 from repro.cluster.overlay import CoverageOverlay
-from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
+from repro.cluster.static_partition import StaticPartitionCluster
 from repro.cluster.stats import ClusterTimeline, WorkerStats
 from repro.cluster.threaded import ThreadedCloud9Cluster
 from repro.cluster.worker import Worker
@@ -67,7 +69,6 @@ __all__ = [
     "TransferCommand",
     "CoverageOverlay",
     "StaticPartitionCluster",
-    "StaticPartitionConfig",
     "ClusterTimeline",
     "WorkerStats",
     "Worker",

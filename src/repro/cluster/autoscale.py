@@ -104,8 +104,9 @@ class AutoscalePolicy:
     def coerce(cls, value: object) -> Optional["AutoscalePolicy"]:
         """Normalize a config's ``autoscale`` field: ``None`` passes through,
         ``True`` means the default policy, anything else must already be an
-        :class:`AutoscalePolicy`.  Shared by both cluster configs so the
-        accepted spellings cannot diverge between backends."""
+        :class:`AutoscalePolicy`.  ``ClusterConfig`` (and so every
+        backend's config) calls it, so the accepted spellings cannot diverge
+        between backends."""
         if value is None:
             return None
         if isinstance(value, cls):

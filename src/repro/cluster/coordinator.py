@@ -24,11 +24,9 @@ thread pool instead.
 from __future__ import annotations
 
 from concurrent.futures import Executor
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.core import CoordinatorCore, Member
+from repro.cluster.core import ClusterConfig, CoordinatorCore, Member
 from repro.cluster.worker import DEFAULT_STRATEGY
 from repro.distrib.worker import DistribWorker
 from repro.engine.executor import SymbolicExecutor
@@ -42,61 +40,11 @@ __all__ = ["ClusterConfig", "Cloud9Cluster",
            "ExecutorFactory", "StateFactory"]
 
 
-@dataclass
-class ClusterConfig:
-    """Configuration of an in-process Cloud9 cluster."""
-
-    num_workers: int = 2
-    instructions_per_round: int = 500
-    status_update_interval: int = 1
-    balance_interval: int = 1
-    delta: float = 1.0
-    min_transfer: int = 1
-    # None = "resolve at build time": a SymbolicTest substitutes its own
-    # strategy, a bare cluster falls back to DEFAULT_STRATEGY.  (A concrete
-    # default here used to silently override the test's strategy.)
-    strategy: Optional[str] = None
-    load_balancing_enabled: bool = True
-    # Disable load balancing from this round on (None = never): Fig. 13.
-    disable_balancing_after_round: Optional[int] = None
-    max_rounds: int = 10_000
-    #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
-    #: rounds (None = never).  The latest checkpoint is kept on the cluster
-    #: (``last_checkpoint``) and, when ``checkpoint_path`` is set, saved to
-    #: that file so a killed run can resume via ``run(resume_from=...)``.
-    checkpoint_every: Optional[int] = None
-    checkpoint_path: Optional[str] = None
-    #: Autoscaling policy driving elastic membership from the round hook
-    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
-    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
-    #: from there.
-    autoscale: Optional[AutoscalePolicy] = None
-    #: Jobs a retiring worker hands over per round.  ``remove_worker`` no
-    #: longer drains the whole frontier synchronously: the worker stays a
-    #: *draining* member (not exploring, not balanced) and exports at most
-    #: this many jobs per round until empty, so scale-down never stalls a
-    #: round on a large frontier.
-    drain_chunk: int = 16
-    #: Bind a read-only live-status endpoint (:mod:`repro.obs.status`) on
-    #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
-    #: picks a free port; see ``cluster.status_address``).  None = no server.
-    status_listen: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("a cluster needs at least one worker")
-        if self.instructions_per_round < 1:
-            raise ValueError("instructions_per_round must be positive")
-        if self.drain_chunk < 1:
-            raise ValueError("drain_chunk must be positive")
-        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
-
-
 class Cloud9Cluster(CoordinatorCore):
     """The public front end: build a cluster and run a symbolic-testing goal."""
 
-    #: Name this backend reports in trace/status events (the threaded
-    #: subclass overrides it).
+    #: Name this backend reports in trace/status events (the threaded and
+    #: static subclasses override it).
     backend_name = "cluster"
 
     def __init__(self, executor_factory: ExecutorFactory,
@@ -106,7 +54,6 @@ class Cloud9Cluster(CoordinatorCore):
         self.state_factory = state_factory
         super().__init__(config or ClusterConfig(),
                          line_count=executor_factory().program.line_count)
-        self.config: ClusterConfig
 
     def _launch(self, worker_id: int) -> Member:
         worker = DistribWorker(worker_id, self.executor_factory(),

@@ -26,17 +26,19 @@ over a :class:`~repro.net.transport.Transport`, and owns, for every backend:
 
 A backend only says how to launch one member (:meth:`CoordinatorCore._launch`):
 an in-process :class:`~repro.distrib.worker.DistribWorker` behind an
-:class:`~repro.net.transport.InProcTransport` (``cluster``, ``threaded``), a
-forked worker process on a queue pair (``process``), or an admitted TCP
-agent (``tcp``).  Members live for one :meth:`~CoordinatorCore.run`.
+:class:`~repro.net.transport.InProcTransport` (``cluster``, ``threaded``,
+``static``), a forked worker process on a queue pair (``process``), or an
+admitted TCP agent (``tcp``); and it may say how a fresh run gets its work
+(:meth:`CoordinatorCore._seed`; ``static`` deals a one-time split instead
+of the seed job).  Members live for one :meth:`~CoordinatorCore.run`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
-                    Set, Tuple, Union, cast)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union, cast)
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
@@ -71,9 +73,8 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 from repro.solver.cache import aggregate_cache_counters
 
-__all__ = ["Member", "MemberFailure", "RoundWork", "CoordinatorConfig",
-           "CoordinatorCore", "WorkerProcessError",
-           "backend_hook", "_dedupe_bugs"]
+__all__ = ["Member", "MemberFailure", "RoundWork", "ClusterConfig",
+           "CoordinatorCore", "WorkerProcessError", "backend_hook"]
 
 _Hook = Callable[..., Any]
 
@@ -147,29 +148,59 @@ class RoundWork:
     detail: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
 
-class CoordinatorConfig(Protocol):
-    """The config surface the coordinator reads.
+@dataclass
+class ClusterConfig:
+    """What the coordinator reads: rounds, balancing, checkpoints, membership.
 
-    ``ClusterConfig`` and ``ProcessClusterConfig`` both satisfy it; the
-    process config adds the knobs of its carriers (reply timeouts, respawn,
-    TCP listener) that only its backend consumes.
+    Every coordinator backend reads it; the process backend's
+    :class:`~repro.distrib.cluster.ProcessClusterConfig` extends it with
+    the knobs of its carriers (reply timeouts, respawn, TCP listener).
     """
 
-    num_workers: int
-    instructions_per_round: int
-    status_update_interval: int
-    balance_interval: int
-    delta: float
-    min_transfer: int
-    strategy: Optional[str]
-    load_balancing_enabled: bool
-    disable_balancing_after_round: Optional[int]
-    max_rounds: int
-    checkpoint_every: Optional[int]
-    checkpoint_path: Optional[str]
-    autoscale: Optional[AutoscalePolicy]
-    drain_chunk: int
-    status_listen: Optional[str]
+    num_workers: int = 2
+    instructions_per_round: int = 500
+    status_update_interval: int = 1
+    balance_interval: int = 1
+    delta: float = 1.0
+    min_transfer: int = 1
+    # None = "resolve at build time": a SymbolicTest substitutes its own
+    # strategy, a bare cluster falls back to DEFAULT_STRATEGY.  (A concrete
+    # default here used to silently override the test's strategy.)
+    strategy: Optional[str] = None
+    # Disable load balancing from this round on (None = never, 0 = no
+    # balancing at all): Fig. 13.
+    disable_balancing_after_round: Optional[int] = None
+    max_rounds: int = 10_000
+    #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
+    #: rounds (None = never).  The latest checkpoint is kept on the cluster
+    #: (``last_checkpoint``) and, when ``checkpoint_path`` is set, saved to
+    #: that file so a killed run can resume via ``run(resume_from=...)``.
+    checkpoint_every: Optional[int] = None
+    checkpoint_path: Optional[str] = None
+    #: Autoscaling policy driving elastic membership from the round hook
+    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
+    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
+    #: from there.
+    autoscale: Optional[AutoscalePolicy] = None
+    #: Jobs a retiring worker hands over per round.  ``remove_worker`` does
+    #: not drain the whole frontier synchronously: the worker stays a
+    #: *draining* member (not exploring, not balanced) and exports at most
+    #: this many jobs per round until empty, so scale-down never stalls a
+    #: round on a large frontier.
+    drain_chunk: int = 16
+    #: Bind a read-only live-status endpoint (:mod:`repro.obs.status`) on
+    #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
+    #: picks a free port; see ``cluster.status_address``).  None = no server.
+    status_listen: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.num_workers < 1:
+            raise ValueError("a cluster needs at least one worker")
+        if self.instructions_per_round < 1:
+            raise ValueError("instructions_per_round must be positive")
+        if self.drain_chunk < 1:
+            raise ValueError("drain_chunk must be positive")
+        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 
 def _job_paths(encoded: object) -> List[Tuple[int, ...]]:
@@ -203,7 +234,7 @@ class CoordinatorCore:
     #: transport-dependent property).
     backend_name: str
 
-    def __init__(self, config: CoordinatorConfig, line_count: int,
+    def __init__(self, config: ClusterConfig, line_count: int,
                  spec_name: Optional[str] = None,
                  spec_params: Optional[Dict[str, object]] = None):
         self.config = config
@@ -944,15 +975,8 @@ class CoordinatorCore:
         self._peak_workers = len(self.handles)
         if checkpoint is not None:
             self._restore(checkpoint)
-            return
-        # The first member to join receives the seed job (§3.1).
-        seed_member = self.handles[0]
-        self.ledger.acquire(seed_member.worker_id, ())
-        try:
-            self._send(seed_member, SeedCommand())
-            self._apply_status(seed_member, self._receive_status(seed_member))
-        except MemberFailure as failure:
-            self._recover(failure)
+        else:
+            self._seed()
 
     def _explore_phase(self, result: RunResult, round_index: int,
                        checkpoint_due: bool) -> RoundWork:
@@ -1071,8 +1095,6 @@ class CoordinatorCore:
     # -- what the recorder reports ---------------------------------------------------------
 
     def _balancing_active(self, round_index: int) -> bool:
-        if not self.config.load_balancing_enabled:
-            return False
         cutoff = self.config.disable_balancing_after_round
         if cutoff is not None and round_index >= cutoff:
             return False
@@ -1091,7 +1113,8 @@ class CoordinatorCore:
     def _bugs_found(self) -> int:
         # Departed members' bugs keep counting: a retiring member must not
         # make the round's bug count drop.
-        return (sum(m.bugs_found for m in self.handles + self._draining)
+        return (len(self._base_bugs)
+                + sum(m.bugs_found for m in self.handles + self._draining)
                 + sum(len(f.bugs) for f in self._departed_finals))
 
     # -- checkpoint / resume -------------------------------------------------------------
@@ -1176,26 +1199,8 @@ class CoordinatorCore:
         return checkpoint
 
     def _restore(self, checkpoint: ClusterCheckpoint) -> None:
-        bits = checkpoint.coverage_bits
-        self.load_balancer.overlay.merge_from_worker(bits)
-        live = list(self.handles)
-        shares: Dict[int, List[Tuple[int, ...]]] = {
-            m.worker_id: [] for m in live}
-        for index, path in enumerate(sorted(checkpoint.frontier_paths)):
-            shares[live[index % len(live)].worker_id].append(tuple(path))
-        for member in live:
-            share = shares[member.worker_id]
-            member.pending_coverage_bits = bits or None
-            if not share:
-                continue
-            for path in share:
-                self.ledger.acquire(member.worker_id, path)
-            tree = JobTree.from_jobs([Job(p) for p in share])
-            try:
-                self._import_into(member,
-                                  ImportCommand(encoded_jobs=tree.encode()))
-            except MemberFailure as failure:
-                self._recover(failure)
+        self._deal(sorted(tuple(p) for p in checkpoint.frontier_paths),
+                   checkpoint.coverage_bits)
         self._base_paths = checkpoint.paths_completed
         self._base_useful = checkpoint.useful_instructions
         self._base_replay = checkpoint.replay_instructions
@@ -1204,6 +1209,26 @@ class CoordinatorCore:
         self._base_bugs = checkpoint.decode_bugs()
         self._base_tests = checkpoint.decode_test_cases()
         self._resumed_from_round = checkpoint.round_index
+
+    def _deal(self, paths: Sequence[Tuple[int, ...]],
+              coverage_bits: int) -> None:
+        """Deal frontier paths round-robin to the live members, one import
+        each, and start everyone from the merged coverage (§3.3)."""
+        self.load_balancer.overlay.merge_from_worker(coverage_bits)
+        live = list(self.handles)
+        for offset, member in enumerate(live):
+            member.pending_coverage_bits = coverage_bits or None
+            share = paths[offset::len(live)]
+            if not share:
+                continue
+            for path in share:
+                self.ledger.acquire(member.worker_id, path)
+            tree = JobTree.from_jobs([Job(path) for path in share])
+            try:
+                self._import_into(member,
+                                  ImportCommand(encoded_jobs=tree.encode()))
+            except MemberFailure as failure:
+                self._recover(failure)
 
     # -- finalization --------------------------------------------------------------------
 
@@ -1279,6 +1304,18 @@ class CoordinatorCore:
         """Provision one member without waiting for it: its first reply on
         the returned member's transport is a ReadyReply (or ErrorReply)."""
         raise NotImplementedError
+
+    @backend_hook
+    def _seed(self) -> None:
+        """Give a fresh run its work: the first member to join receives
+        the seed job (§3.1)."""
+        seed_member = self.handles[0]
+        self.ledger.acquire(seed_member.worker_id, ())
+        try:
+            self._send(seed_member, SeedCommand())
+            self._apply_status(seed_member, self._receive_status(seed_member))
+        except MemberFailure as failure:
+            self._recover(failure)
 
     @backend_hook
     def _admit_member(self) -> Member:

@@ -37,8 +37,8 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.core import CoordinatorCore, Member, WorkerProcessError
+from repro.cluster.core import (ClusterConfig, CoordinatorCore, Member,
+                                WorkerProcessError)
 from repro.distrib.worker import worker_main
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
 from repro.net.heartbeat import (
@@ -66,27 +66,18 @@ def default_mp_context():
 
 
 @dataclass
-class ProcessClusterConfig:
+class ProcessClusterConfig(ClusterConfig):
     """Configuration of a multiprocess Cloud9 cluster.
 
-    Mirrors :class:`~repro.cluster.coordinator.ClusterConfig` where the
-    concepts coincide; the extra knobs cover process management and the
-    TCP carrier.  The default
-    ``instructions_per_round`` is higher than the in-process cluster's
-    because each round costs a command/reply round trip per worker, and
-    amortizing that IPC is what makes real-core parallelism pay off.
+    The coordinator's own knobs are :class:`~repro.cluster.core.ClusterConfig`'s;
+    the extra ones cover process management, the recovery policy and the
+    TCP carrier.  The default ``instructions_per_round`` is higher than the
+    in-process cluster's because each round costs a command/reply round
+    trip per worker, and amortizing that IPC is what makes real-core
+    parallelism pay off.
     """
 
-    num_workers: int = 2
     instructions_per_round: int = 2000
-    status_update_interval: int = 1
-    balance_interval: int = 1
-    delta: float = 1.0
-    min_transfer: int = 1
-    strategy: Optional[str] = None
-    load_balancing_enabled: bool = True
-    disable_balancing_after_round: Optional[int] = None
-    max_rounds: int = 10_000
     #: multiprocessing start method; None picks "fork" where available
     #: (cheap, inherits runtime-registered specs) and "spawn" elsewhere.
     start_method: Optional[str] = None
@@ -111,21 +102,6 @@ class ProcessClusterConfig:
     #: Seconds granted to a worker at each escalation step of teardown
     #: (cooperative join, then terminate, then kill).
     shutdown_timeout: float = 5.0
-    #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
-    #: rounds (None = never); the latest is kept on ``last_checkpoint`` and,
-    #: when ``checkpoint_path`` is set, saved there for ``resume_from=``.
-    checkpoint_every: Optional[int] = None
-    checkpoint_path: Optional[str] = None
-    #: Autoscaling policy driving elastic membership from the round hook
-    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
-    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
-    #: from there.
-    autoscale: Optional[AutoscalePolicy] = None
-    #: Jobs a retiring worker hands over per round: ``remove_worker`` keeps
-    #: the worker as a non-exploring *draining* member and exports at most
-    #: this many jobs per round until its frontier is empty, instead of
-    #: stalling the round on a synchronous whole-frontier drain.
-    drain_chunk: int = 16
     #: Carrier of the coordinator<->worker channel: ``"mp"`` (the in-host
     #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed pickles
     #: over sockets, :mod:`repro.net` -- workers are *agents* that dial in
@@ -152,25 +128,15 @@ class ProcessClusterConfig:
     #: Exercises the full socket path self-contained -- the CI smoke, the
     #: benchmarks and ``backend="tcp"`` quickstarts use this.
     spawn_local_agents: bool = False
-    #: ``"host:port"`` to serve the live run status on (read-only JSON, one
-    #: line per connection; see :mod:`repro.obs.status`).  ``None`` disables
-    #: the status server; port 0 picks a free port, with the bound address
-    #: on ``cluster.status_address`` while the run is live.
-    status_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("a cluster needs at least one worker")
-        if self.instructions_per_round < 1:
-            raise ValueError("instructions_per_round must be positive")
+        super().__post_init__()
         if self.reply_timeout <= 0:
             raise ValueError("reply_timeout must be positive")
         if self.shutdown_timeout <= 0:
             raise ValueError("shutdown_timeout must be positive")
         if self.max_worker_failures is not None and self.max_worker_failures < 0:
             raise ValueError("max_worker_failures must be non-negative")
-        if self.drain_chunk < 1:
-            raise ValueError("drain_chunk must be positive")
         if self.transport not in ("mp", "tcp"):
             raise ValueError("transport must be 'mp' or 'tcp', got %r"
                              % (self.transport,))
@@ -184,7 +150,6 @@ class ProcessClusterConfig:
             raise ValueError("agent_wait_timeout must be positive")
         if self.spawn_local_agents and self.transport != "tcp":
             raise ValueError("spawn_local_agents requires transport='tcp'")
-        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 
 class ProcessCloud9Cluster(CoordinatorCore):

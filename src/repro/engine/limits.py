@@ -2,10 +2,9 @@
 
 :class:`ExplorationLimits` is the one bag of budgets and goals, and the
 ``limits=`` argument is the only way a budget reaches an engine:
-:meth:`repro.engine.executor.SymbolicExecutor.run`,
+:meth:`repro.engine.executor.SymbolicExecutor.run` and
 :meth:`repro.cluster.core.CoordinatorCore.run` (every coordinator backend)
-and :meth:`repro.cluster.static_partition.StaticPartitionCluster.run` take
-nothing else, so a test moves between the single engine and a cluster
+take nothing else, so a test moves between the single engine and a cluster
 without re-plumbing a knob.  ``SymbolicTest.run`` and the
 :mod:`repro.api.runner` backends also accept the fields as loose kwargs and
 fold them into one ``limits`` bundle (:meth:`ExplorationLimits.pop_from`).

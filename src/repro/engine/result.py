@@ -1,10 +1,9 @@
 """The one result type every execution backend returns.
 
-:meth:`~repro.engine.executor.SymbolicExecutor.run`,
+:meth:`~repro.engine.executor.SymbolicExecutor.run` and
 :meth:`~repro.cluster.core.CoordinatorCore.run` (the ``cluster``,
-``threaded``, ``process`` and ``tcp`` backends) and
-:meth:`~repro.cluster.static_partition.StaticPartitionCluster.run` each build
-a :class:`RunResult` themselves, so backends compare field for field:
+``threaded``, ``static``, ``process`` and ``tcp`` backends) each build a
+:class:`RunResult` themselves, so backends compare field for field:
 
 * common fields are first-class (paths, coverage, bugs, test cases,
   useful/replay instruction counts, exhaustion/goal flags);

@@ -24,7 +24,6 @@ from typing import Callable, Dict, Optional, Type, Union
 from repro.api.limits import ExplorationLimits
 from repro.api.result import RunResult
 from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig
-from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
 from repro.engine.config import EngineConfig
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
@@ -116,9 +115,9 @@ class SymbolicTest:
         backend-specific (``strategy=`` for ``"single"``; ``workers=``,
         ``config=`` or any cluster-config field for the cluster backends;
         ``resume_from=`` a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
-        or saved checkpoint path for the ``"cluster"``/``"threaded"``/
-        ``"process"`` backends, paired with the ``checkpoint_every=`` /
-        ``checkpoint_path=`` config knobs that produce the checkpoints;
+        or saved checkpoint path for the coordinator backends, paired
+        with the ``checkpoint_every=`` / ``checkpoint_path=`` config knobs
+        that produce the checkpoints;
         ``autoscale=`` an :class:`~repro.cluster.autoscale.AutoscalePolicy`
         (or ``True`` for the defaults) to let those same backends grow and
         shrink the cluster mid-run from queue pressure and round wall time;
@@ -133,6 +132,9 @@ class SymbolicTest:
     def build_cluster(self, config: Optional[ClusterConfig] = None,
                       cluster_class: Optional[Type[Cloud9Cluster]] = None
                       ) -> Cloud9Cluster:
+        """An in-process cluster over this test: ``Cloud9Cluster`` by
+        default, or a subclass such as ``ThreadedCloud9Cluster`` or the §2
+        baseline ``StaticPartitionCluster``."""
         cluster_config = config or ClusterConfig()
         if cluster_config.strategy is None:
             # Copy rather than mutate: the caller's config may be reused
@@ -140,19 +142,6 @@ class SymbolicTest:
             cluster_config = replace(cluster_config, strategy=self.strategy)
         cluster_cls = cluster_class or Cloud9Cluster
         return cluster_cls(
-            executor_factory=self.build_executor,
-            state_factory=self.build_initial_state,
-            config=cluster_config,
-        )
-
-    # -- static-partitioning baseline (for the ablation benchmarks) -------------------------
-
-    def build_static_cluster(self, config: Optional[StaticPartitionConfig] = None
-                             ) -> StaticPartitionCluster:
-        cluster_config = config or StaticPartitionConfig()
-        if cluster_config.strategy is None:
-            cluster_config = replace(cluster_config, strategy=self.strategy)
-        return StaticPartitionCluster(
             executor_factory=self.build_executor,
             state_factory=self.build_initial_state,
             config=cluster_config,

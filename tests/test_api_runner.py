@@ -16,7 +16,7 @@ from repro.api.runner import (
 from repro.cluster import (
     Cloud9Cluster,
     ClusterConfig,
-    StaticPartitionConfig,
+    StaticPartitionCluster,
     ThreadedCloud9Cluster,
 )
 from repro.distrib import specs
@@ -112,6 +112,17 @@ class TestBackendDispatch:
         with pytest.raises(TypeError, match="not both"):
             test.run(backend="cluster", config=ClusterConfig(), workers=4)
 
+    @pytest.mark.parametrize("backend", ["cluster", "threaded", "static"])
+    def test_in_process_backends_refuse_a_process_config(self, backend):
+        """A ProcessClusterConfig is a ClusterConfig subclass, but its
+        carrier fields mean nothing in-process: refuse it, do not drop
+        them silently."""
+        from repro.distrib.cluster import ProcessClusterConfig
+
+        test = SymbolicTest("t", single_branch_program())
+        with pytest.raises(TypeError, match="config must be a ClusterConfig"):
+            test.run(backend=backend, config=ProcessClusterConfig())
+
     def test_single_rejects_cluster_options(self):
         test = SymbolicTest("t", single_branch_program())
         with pytest.raises(TypeError, match="unknown options"):
@@ -188,15 +199,13 @@ class TestOneResultType:
         test = SymbolicTest("t", branchy_program(1))
         if engine == "executor":
             result = test.build_executor().run()
-        elif engine == "static":
-            result = test.build_static_cluster(
-                StaticPartitionConfig(num_workers=2)).run()
         elif engine == "process":
             result = specs.resolve_test("printf", format_length=1).run(
                 backend="process", workers=2)
         else:
             cluster_class = {"cluster": Cloud9Cluster,
-                             "threaded": ThreadedCloud9Cluster}[engine]
+                             "threaded": ThreadedCloud9Cluster,
+                             "static": StaticPartitionCluster}[engine]
             result = test.build_cluster(ClusterConfig(num_workers=2),
                                         cluster_class=cluster_class).run()
         assert type(result) is RunResult
@@ -281,8 +290,9 @@ class TestStrategyPropagation:
 
     def test_test_strategy_reaches_static_cluster_workers(self):
         test = SymbolicTest("t", single_branch_program(), strategy="bfs")
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=2))
-        assert all(w.strategy.name == "bfs" for w in cluster.workers)
+        cluster = test.build_cluster(ClusterConfig(num_workers=2),
+                                     cluster_class=StaticPartitionCluster)
+        assert cluster.config.strategy == "bfs"
 
     def test_explicit_config_strategy_still_wins(self):
         test = SymbolicTest("t", single_branch_program(), strategy="dfs")

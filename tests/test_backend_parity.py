@@ -1,12 +1,13 @@
-"""Cross-backend parity: one coordinator shell, four backends, same answers.
+"""Cross-backend parity: one coordinator shell, five backends, same answers.
 
 The regression test for the drift class the shared
 :class:`~repro.cluster.core.CoordinatorCore` eliminates: the same spec run
-under identical limits on the ``cluster``, ``threaded``, ``process`` and
-``tcp`` backends -- one shell over the in-process, mp-queue and socket
-carriers -- must explore the same set of paths (compared as test-case fork
-traces, not counts), cover the same lines, report the same bugs, and speak
-the same trace-event vocabulary.
+under identical limits on the ``cluster``, ``threaded``, ``static``,
+``process`` and ``tcp`` backends -- one shell over the in-process, mp-queue
+and socket carriers -- must explore the same set of paths (compared as
+test-case fork traces, not counts), cover the same lines, report the same
+bugs, and speak the same trace-event vocabulary (``static`` minus
+``job_transferred``: its split is final, so it never transfers).
 """
 
 import multiprocessing
@@ -14,10 +15,14 @@ import multiprocessing
 import pytest
 
 from repro.api import ExplorationLimits
-from repro.cluster import ClusterConfig, ThreadedCloud9Cluster
+from repro.cluster import (ClusterConfig, StaticPartitionCluster,
+                           ThreadedCloud9Cluster)
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.obs.trace import load_trace
+from repro.testing import SymbolicTest
+
+from conftest import branchy_program, single_branch_program
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -35,6 +40,9 @@ LIMITS_KWARGS = dict(max_rounds=80)
 #: coordinator protocol whose vocabulary the shared core pins.
 WORKER_LOCAL_EVENTS = {"span", "worker_event"}
 
+CLUSTER_CLASSES = {"threaded": ThreadedCloud9Cluster,
+                   "static": StaticPartitionCluster}
+
 
 def _run_backend(backend, trace_path):
     limits = ExplorationLimits(trace_path=str(trace_path), **LIMITS_KWARGS)
@@ -49,8 +57,8 @@ def _run_backend(backend, trace_path):
     test = specs.resolve_test(SPEC_NAME, **SPEC_PARAMS)
     config = ClusterConfig(num_workers=NUM_WORKERS,
                            instructions_per_round=INSTRUCTIONS_PER_ROUND)
-    cluster_class = ThreadedCloud9Cluster if backend == "threaded" else None
-    cluster = test.build_cluster(config, cluster_class=cluster_class)
+    cluster = test.build_cluster(config,
+                                 cluster_class=CLUSTER_CLASSES.get(backend))
     return cluster.run(limits=limits)
 
 
@@ -59,7 +67,7 @@ def backend_runs(tmp_path_factory):
     """Run every backend once; the assertions below slice the results."""
     runs = {}
     base = tmp_path_factory.mktemp("parity")
-    backends = ["cluster", "threaded"]
+    backends = ["cluster", "threaded", "static"]
     if fork_available:
         backends.extend(["process", "tcp"])
     for backend in backends:
@@ -113,7 +121,11 @@ class TestTraceVocabularyParity:
         vocabularies = {
             backend: {e["event"] for e in events} - WORKER_LOCAL_EVENTS
             for backend, (_, events) in backend_runs.items()}
-        for a, b in _pairs(backend_runs):
+        # The static split is final: it never transfers, the others do.
+        static = vocabularies.pop("static")
+        assert "job_transferred" in vocabularies["cluster"]
+        assert static == vocabularies["cluster"] - {"job_transferred"}
+        for a, b in _pairs(vocabularies):
             assert vocabularies[a] == vocabularies[b], (a, b)
 
     def test_round_completed_keys_identical(self, backend_runs):
@@ -160,3 +172,23 @@ class TestProcessSmoke:
             assert result.covered_lines == reference.covered_lines, backend
             assert (result.bug_summaries()
                     == reference.bug_summaries()), backend
+
+
+@pytest.mark.parametrize("program, workers", [
+    (single_branch_program, 4),
+    (lambda: branchy_program(3), 1),
+    (lambda: branchy_program(3), 2),
+    (lambda: branchy_program(3), 3),
+    (lambda: branchy_program(3), 4),
+], ids=["single_branch-4", "branchy3-1", "branchy3-2", "branchy3-3",
+        "branchy3-4"])
+def test_static_matches_single(program, workers):
+    """The static bootstrap runs in the coordinator; whatever it finishes
+    (all of ``single_branch_program`` with 4 workers) must be counted
+    exactly once next to what the members explore."""
+    test = SymbolicTest("t", program(), use_posix_model=False)
+    reference = test.run()
+    result = test.run(backend="static", workers=workers)
+    assert result.exhausted
+    assert _fork_traces(result) == _fork_traces(reference)
+    assert result.paths_completed == reference.paths_completed

@@ -1,8 +1,6 @@
 """Tests for the static-partitioning baseline and its comparison properties."""
 
-import pytest
-
-from repro.cluster import StaticPartitionConfig
+from repro.cluster import ClusterConfig, StaticPartitionCluster
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program, single_branch_program
@@ -12,31 +10,43 @@ def make_test(program):
     return SymbolicTest("t", program, use_posix_model=False)
 
 
+def build_static(test, **config):
+    return test.build_cluster(ClusterConfig(**config),
+                              cluster_class=StaticPartitionCluster)
+
+
 class TestBootstrapSplit:
     def test_bootstrap_produces_enough_prefixes(self):
-        test = make_test(branchy_program(3))
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=3))
-        assert len(cluster.bootstrap.prefixes) >= 3
+        cluster = build_static(make_test(branchy_program(3)), num_workers=3)
+        dealt = {}
+
+        def hook(round_index, running):
+            if round_index == 0:
+                dealt.update({m.worker_id: m.queue_length
+                              for m in running.handles})
+
+        cluster.round_hook = hook
+        cluster.run()
+        assert sum(dealt.values()) >= 3
+        assert all(dealt.values())  # one prefix per worker, at least
 
     def test_partitions_are_disjoint(self):
-        test = make_test(branchy_program(3))
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=3))
-        ok, message = cluster.check_partition_disjointness()
-        assert ok, message
+        cluster = build_static(make_test(branchy_program(3)), num_workers=3)
+        checks = []
+        cluster.round_hook = lambda round_index, running: checks.append(
+            running.check_frontier_invariants())
+        cluster.run()
+        assert checks
+        for ok, message in checks:
+            assert ok, message
 
     def test_single_path_program_leaves_workers_idle(self):
-        # A program with one path cannot be split: all but one worker idles.
+        # A program this small cannot be split: the bootstrap finishes it,
+        # and the workers idle from the first round on.
         test = make_test(single_branch_program())
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=4))
-        assert cluster.idle_worker_count() >= 2
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            StaticPartitionConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            StaticPartitionConfig(instructions_per_round=0)
-        with pytest.raises(ValueError):
-            StaticPartitionConfig(partitions_per_worker=0)
+        result = test.run(backend="static", workers=4)
+        first = result.timeline.snapshots[0]
+        assert sum(1 for q in first.queue_lengths.values() if q == 0) >= 2
 
 
 class TestStaticExploration:
@@ -68,6 +78,24 @@ class TestStaticExploration:
         dynamic_codes = sorted(tc.exit_code for tc in dynamic.test_cases)
         assert static_codes == dynamic_codes
 
+    def test_bug_found_by_the_bootstrap_meets_the_goal(self):
+        """With 4 workers the bootstrap finishes both paths of this program
+        itself, bug included: that bug must count toward the goal."""
+        from repro import lang as L
+
+        program = L.program("buggy", L.func(
+            "main", [],
+            L.decl("buf", L.call("cloud9_symbolic_buffer", 1,
+                                 L.strconst("b"))),
+            L.assert_(L.ne(L.index(L.var("buf"), 0), 7), "boom"),
+            L.ret(0),
+        ))
+        result = make_test(program).run(backend="static", workers=4,
+                                        stop_on_first_bug=True)
+        assert result.goal_reached and result.exhausted
+        assert len(result.bugs) == 1
+        assert result.timeline.snapshots[0].bugs_found == 1
+
 
 class TestImbalance:
     def test_static_partitioning_shows_imbalance_on_skewed_trees(self):
@@ -94,10 +122,8 @@ class TestImbalance:
                 L.ret(L.var("acc")),
             ),
         )
-        test = make_test(program)
-        config = StaticPartitionConfig(num_workers=2, partitions_per_worker=1,
-                                       instructions_per_round=30)
-        cluster = test.build_static_cluster(config)
+        cluster = build_static(make_test(program), num_workers=2,
+                               instructions_per_round=30)
         result = cluster.run()
         assert result.exhausted
         # At least one recorded round had an idle worker while another still
